@@ -9,11 +9,7 @@ Submodules:
                    canonical codes, marginals, separation constants
 * ``diagram``   -- the stationary path space (encode/decode, clopen sets,
                    towers, boundedness/regularity checks)
-* ``fullgroup`` -- piecewise tree-automorphism elements, 3-cycle gadgets,
-                   the commutator assembly of cylinder rotations
-* ``corpus``    -- seeded sample streams used by the verification suites
-* ``verify``    -- the property suites behind ``alttree verify``
-* ``cli``       -- command-line front end
+* ``corpus``    -- seeded sample streams used by the tests and audits
 """
 
 from .core import Config

@@ -48,7 +48,6 @@ __all__ = [
     "level_graph",
     "GrayPiece",
     "gray_piece",
-    "piece_over",
     "marginals",
     "branch_report",
     "segment_roots",
@@ -66,10 +65,16 @@ __all__ = [
 ]
 
 # Audited outcome of ``find_n0`` at radius 8 over the default seeded corpus
-# (12 basepoints, salt "n0"; 11 distinct balls, 16276 coded vertices): pieces
-# of radius 6 separate every pair of distinct points in every ball, radius 5
-# does not.  Downstream constructions size their windows from this constant
-# instead of re-running the search; the slow acceptance check recomputes it.
+# (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
+# distinct points in every ball, radius 5 does not.  The audit reports
+# n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
+# replay collision; it takes about a minute:
+#
+#   cfg = Config.default(5)
+#   find_n0(cfg, sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2), radius=8)
+#
+# Downstream constructions size their windows from this constant instead of
+# re-running the search.
 SEPARATION_RADIUS = 6
 
 
@@ -248,36 +253,17 @@ class GrayPiece:
     @staticmethod
     def build(p: TildePoint, lo: int, hi: int, cap: int = 2_000_000) -> "GrayPiece":
         d = p.d
-        center = gray_projection(p)
-        seg = gray_segment(center, lo, hi)
-        finite_slots, has_pair = visible_positions(seg)
-        slots = tuple(finite_slots)
-        nslots = len(slots) + (2 if has_pair else 0)
-        slot_index = {pos: i for i, pos in enumerate(slots)}
-        pair_slots = []
-        stars = []
-        for w in seg:
-            j = first_star(w)
-            stars.append(j)
-            if j is OMEGA:
-                pair_slots.append((len(slots), len(slots) + 1))
-            else:
-                pair_slots.append((slot_index[j], slot_index[j + 1]))
-        base_letters = [p.letter(pos) for pos in slots]
-        if has_pair:
-            if not isinstance(p.tail, ZeroPair):
-                raise AssertionError("window shows formal positions but the point has none")
-            base_letters += [p.tail.a, p.tail.b]
-        base_letters = tuple(base_letters)
+        win = _Window(p, lo, hi)
+        seg, slots, has_pair, pair_slots = win.segment, win.slots, win.has_pair, win.pair_slots
+        base_letters = win.letters(p)
         for i, pos in enumerate(slots):
             if (base_letters[i] != 0) != bool(seg[-lo].bit(pos)):
                 raise AssertionError("basepoint letters disagree with its Gray word")
 
-        # Hot loop: pieces can run to thousands of states and the n0 search
-        # codes balls of thousands of points, so the successor tables below
-        # avoid per-move function calls and list round-trips.  Row order must
-        # stay aligned with descriptor_labels: A-moves by letter, then
-        # B-moves by (u, v).
+        # Hot loop: pieces can run to thousands of states, so the successor
+        # tables below avoid per-move function calls and list round-trips.
+        # Row order must stay aligned with descriptor_labels: A-moves by
+        # letter, then B-moves by (u, v).
         a_step = []  # fiber reached when the first letter changes zeroness
         b_step = []  # fiber reached when the pair's second entry changes zeroness
         for k in range(lo, hi + 1):
@@ -432,10 +418,6 @@ class GrayPiece:
             self._codes[key] = got
         return got
 
-    def code_within(self, start: int, lo: int, hi: int, with_fibers: bool = True) -> bytes:
-        """Code of the subpiece of ``start`` over the fiber window [lo, hi]."""
-        return _trace_code(self, start, lo, hi, with_fibers)
-
     def component_within(self, start: int, lo: int, hi: int) -> list[int]:
         seen = {start}
         stack = [start]
@@ -516,10 +498,6 @@ def gray_piece(p: TildePoint, n: int, cap_length: int = 17) -> GrayPiece:
     if 2 * n + 1 > cap_length:
         raise ResourceCap(f"piece length {2 * n + 1} exceeds the cap {cap_length}")
     return GrayPiece.build(p, -n, n)
-
-
-def piece_over(p: TildePoint, lo: int, hi: int) -> GrayPiece:
-    return GrayPiece.build(p, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -677,86 +655,112 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     return order
 
 
-def _fused_prep(p: TildePoint, lo: int, hi: int):
-    """Window data shared by the fused code paths: pair-slot indices per
-    fiber and the basepoint's letters at the window's slots."""
-    if not lo <= 0 <= hi:
-        raise ValueError("the window must contain the basepoint fiber")
-    seg = gray_segment(gray_projection(p), lo, hi)
-    slots, has_pair = visible_positions(seg)
-    slot_index = {pos: i for i, pos in enumerate(slots)}
-    pair_slots = []
-    for w in seg:
-        j = first_star(w)
-        if j is OMEGA:
-            pair_slots.append((len(slots), len(slots) + 1))
-        else:
-            pair_slots.append((slot_index[j], slot_index[j + 1]))
-    base_letters = [p.letter(pos) for pos in slots]
-    if has_pair:
-        if not isinstance(p.tail, ZeroPair):
-            raise AssertionError("window shows formal positions but the point has none")
-        base_letters += [p.tail.a, p.tail.b]
-    return pair_slots, base_letters
+_PIECE_CAP = 2_000_000  # vertices per packed piece
 
 
-def _fused_code(p: TildePoint, lo: int, hi: int, cap: int = 2_000_000) -> bytes:
+class _Window:
+    """The packing of piece states over one Gray window into machine ints.
+
+    A state -- fiber, and letters at the window's slots plus the formal pair
+    when the window shows it -- packs into one int: ``bits`` bits per letter
+    (enough for the letter ``d - 1``), the fiber offset from ``lo`` above
+    them.  The window depends on the center's Gray word alone, so one
+    packing serves every point over that word."""
+
+    def __init__(self, p: TildePoint, lo: int, hi: int):
+        if not lo <= 0 <= hi:
+            raise ValueError("the window must contain the basepoint fiber")
+        self.segment = gray_segment(gray_projection(p), lo, hi)
+        self.slots, self.has_pair = visible_positions(self.segment)
+        slot_index = {pos: i for i, pos in enumerate(self.slots)}
+        nfin = len(self.slots)
+        self.pair_slots = []  # per fiber offset: slot indices of the visible pair
+        for w in self.segment:
+            j = first_star(w)
+            self.pair_slots.append((nfin, nfin + 1) if j is OMEGA else (slot_index[j], slot_index[j + 1]))
+        self.d, self.lo, self.hi = p.d, lo, hi
+        self.bits = (p.d - 1).bit_length()
+        self.shift = self.bits * (nfin + (2 if self.has_pair else 0))
+
+    def fits(self) -> bool:
+        return self.shift + (self.hi - self.lo + 1).bit_length() <= 62
+
+    def letters(self, q: TildePoint) -> tuple[int, ...]:
+        """Letters of a point over the window's center word at the slots,
+        then the formal pair when the window shows it."""
+        letters = tuple(q.letter(pos) for pos in self.slots)
+        if self.has_pair:
+            if not isinstance(q.tail, ZeroPair):
+                raise AssertionError("window shows formal positions but the point has none")
+            letters += (q.tail.a, q.tail.b)
+        return letters
+
+    def state(self, q: TildePoint) -> int:
+        """Packed state of a point over the window's center word."""
+        packed = 0
+        for i, x in enumerate(self.letters(q)):
+            packed |= x << (self.bits * i)
+        return (-self.lo << self.shift) | packed
+
+    def rows(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """The piece of packed state ``start`` as (rows, states): row i is the
+        int32 trace row ``[fiber, x1, u, v, target per label]`` of the i-th
+        vertex in breadth-first order from ``start``, and states[i] is its
+        packed state.  Narrow windows (small pieces) run the scalar walk,
+        wide ones the vectorised layer walk."""
+        if self.hi - self.lo + 1 <= 9:
+            return _piece_rows_py(self, start, cap)
+        return _piece_rows_np(self, start, cap)
+
+
+def _fused_code(p: TildePoint, lo: int, hi: int, cap: int = _PIECE_CAP) -> bytes:
     """Digest of GrayPiece.build(p, lo, hi).code() without building the piece.
 
     The trace in _trace_code renumbers vertices by a breadth-first walk from
     the basepoint in label order -- exactly the order in which build discovers
     them -- so over the full window from the basepoint the renumbering is the
-    identity and the rows can be streamed out of one BFS.  Byte-for-byte
-    equality with the two-pass route is pinned by a test.  Narrow windows
-    (small pieces) run the scalar loop; wide ones the vectorised layer walk;
-    windows too wide to pack states into machine ints fall back to the
-    two-pass route."""
-    pair_slots, base_letters = _fused_prep(p, lo, hi)
-    span = hi - lo + 1
-    if 3 * len(base_letters) + span.bit_length() > 62:
+    identity and the digest is the hash of the packed walk's rows.  Byte-for-
+    byte equality with the two-pass route is pinned by a test.  Windows too
+    wide to pack states into machine ints fall back to the two-pass route."""
+    win = _Window(p, lo, hi)
+    if not win.fits():
         return GrayPiece.build(p, lo, hi).code()
-    if span <= 9:
-        return _fused_code_py(p, lo, hi, cap, pair_slots, base_letters)
-    return _fused_code_np(p, lo, hi, cap, pair_slots, base_letters)
+    rows, _ = win.rows(win.state(p), cap)
+    return hashlib.sha256(rows).digest()
 
 
-def _fused_code_py(p: TildePoint, lo: int, hi: int, cap, pair_slots, base_letters) -> bytes:
-    # States are packed into single ints -- three bits per slot letter, the
-    # fiber offset above -- so successor states are a couple of shifts and
-    # masks and the visited table hashes machine ints.
-    d = p.d
-    nslots = len(base_letters)
-    shift = 3 * nslots
+def _piece_rows_py(win: _Window, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    # Successor states are a couple of shifts and masks, and the visited
+    # table hashes machine ints; its insertion order is the vertex order.
+    d, lo, hi = win.d, win.lo, win.hi
+    bits, shift = win.bits, win.shift
+    mask = (1 << bits) - 1
     span = hi - lo + 1
     fiber_info = []  # per fiber offset: (siu, siv, clear pair mask)
     a_sh = []  # pre-shifted fiber part of the A-step target, or None
     b_sh = []
     for ko in range(span):
-        iu, iv = pair_slots[ko]
-        siu, siv = 3 * iu, 3 * iv
-        fiber_info.append((siu, siv, ~((7 << siu) | (7 << siv))))
+        iu, iv = win.pair_slots[ko]
+        siu, siv = bits * iu, bits * iv
+        fiber_info.append((siu, siv, ~((mask << siu) | (mask << siv))))
         k2 = _a_neighbor_index(ko + lo)
         a_sh.append((k2 - lo) << shift if lo <= k2 <= hi else None)
         k2 = _b_neighbor_index(ko + lo)
         b_sh.append((k2 - lo) << shift if lo <= k2 <= hi else None)
 
-    packed0 = 0
-    for i, x in enumerate(base_letters):
-        packed0 |= x << (3 * i)
-    start = ((0 - lo) << shift) | packed0
     index = {start: 0}
     index_get = index.get
     queue = deque([start])
-    h = hashlib.sha256()
-    update = h.update
+    out = array("i")
+    extend = out.extend
     while queue:
         st = queue.popleft()
         ko = st >> shift
         packed = st ^ (ko << shift)
         siu, siv, clear_mask = fiber_info[ko]
-        x1 = packed & 7
-        u = (packed >> siu) & 7
-        v = (packed >> siv) & 7
+        x1 = packed & mask
+        u = (packed >> siu) & mask
+        v = (packed >> siv) & mask
         x1_nonzero = x1 != 0
         v_nonzero = v != 0
         same_sh = ko << shift
@@ -807,19 +811,19 @@ def _fused_code_py(p: TildePoint, lo: int, hi: int, cap, pair_slots, base_letter
                     if ti > cap:
                         raise ResourceCap(f"piece exceeded {cap} vertices")
                 append(ti)
-        update(array("i", row).tobytes())
-    return h.digest()
+        extend(row)
+    rows = np.frombuffer(out, dtype=np.int32).reshape(len(index), 4 + d * d)
+    return rows, np.fromiter(index, dtype=np.int64, count=len(index))
 
 
-def _fused_code_np(p: TildePoint, lo: int, hi: int, cap, pair_slots, base_letters) -> bytes:
-    # Vectorised twin of _fused_code_py: one breadth-first layer at a time,
-    # successor states by array arithmetic, rows hashed as one int32 block
-    # per layer.  Vertex numbering matches the scalar walk because edge
-    # targets are laid out parent-major, label-minor before the
-    # first-occurrence scan.
-    d = p.d
-    nslots = len(base_letters)
-    shift = 3 * nslots
+def _piece_rows_np(win: _Window, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    # Vectorised twin of _piece_rows_py: one breadth-first layer at a time,
+    # successor states by array arithmetic.  Vertex numbering matches the
+    # scalar walk because edge targets are laid out parent-major, label-minor
+    # before the first-occurrence scan.
+    d, lo, hi = win.d, win.lo, win.hi
+    bits, shift = win.bits, win.shift
+    mask = (1 << bits) - 1
     span = hi - lo + 1
 
     siu_f = np.empty(span, dtype=np.int64)
@@ -828,48 +832,46 @@ def _fused_code_np(p: TildePoint, lo: int, hi: int, cap, pair_slots, base_letter
     a_f = np.empty(span, dtype=np.int64)  # A-step target fiber offset, or -1
     b_f = np.empty(span, dtype=np.int64)
     for ko in range(span):
-        iu, iv = pair_slots[ko]
-        siu_f[ko] = 3 * iu
-        siv_f[ko] = 3 * iv
-        clear_f[ko] = ~((7 << (3 * iu)) | (7 << (3 * iv)))
+        iu, iv = win.pair_slots[ko]
+        siu_f[ko] = bits * iu
+        siv_f[ko] = bits * iv
+        clear_f[ko] = ~((mask << (bits * iu)) | (mask << (bits * iv)))
         k2 = _a_neighbor_index(ko + lo)
         a_f[ko] = k2 - lo if lo <= k2 <= hi else -1
         k2 = _b_neighbor_index(ko + lo)
         b_f[ko] = k2 - lo if lo <= k2 <= hi else -1
 
-    packed0 = 0
-    for i, x in enumerate(base_letters):
-        packed0 |= x << (3 * i)
-    first = ((0 - lo) << shift) | packed0
-
-    vis_sorted = np.array([first], dtype=np.int64)
+    vis_sorted = np.array([start], dtype=np.int64)
     vis_ids = np.array([0], dtype=np.int64)
-    layer = np.array([first], dtype=np.int64)  # current layer, in id order
+    layer = np.array([start], dtype=np.int64)  # current layer, in id order
+    layers = []
+    blocks = []
     next_id = 1
-    h = hashlib.sha256()
     low_mask = (1 << shift) - 1
 
     while layer.size:
+        layers.append(layer)
         n = layer.size
         ko = layer >> shift
         low = layer & low_mask
-        x1 = low & 7
+        x1 = low & mask
         siu = siu_f[ko]
         siv = siv_f[ko]
-        u = (layer >> siu) & 7
-        v = (layer >> siv) & 7
+        u = (layer >> siu) & mask
+        v = (layer >> siv) & mask
         x1_nonzero = x1 != 0
         v_nonzero = v != 0
         ka = a_f[ko]
         kb = b_f[ko]
-        cols = []
+        edges = np.empty((n, d * d), dtype=np.int64)  # -1 marks no edge
         for c in range(d):
             flip = (c != 0) != x1_nonzero
             tgt = np.where(flip, ka, ko)
             valid = (x1 != c) & (tgt >= 0)
             succ = (tgt << shift) | (low ^ (x1 ^ c))
-            cols.append(np.where(valid, succ, -1))
+            edges[:, c] = np.where(valid, succ, -1)
         base_uv = low & clear_f[ko]
+        col = d
         for u2 in range(1, d):
             part = base_uv | (u2 << siu)
             for v2 in range(d):
@@ -877,8 +879,8 @@ def _fused_code_np(p: TildePoint, lo: int, hi: int, cap, pair_slots, base_letter
                 tgt = np.where(flip, kb, ko)
                 valid = ~((u == u2) & (v == v2)) & (tgt >= 0)
                 succ = (tgt << shift) | part | (v2 << siv)
-                cols.append(np.where(valid, succ, -1))
-        edges = np.stack(cols, axis=1)  # (n, d + (d-1)*d); -1 marks no edge
+                edges[:, col] = np.where(valid, succ, -1)
+                col += 1
         flat = edges.ravel()
 
         pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
@@ -902,15 +904,76 @@ def _fused_code_np(p: TildePoint, lo: int, hi: int, cap, pair_slots, base_letter
 
         pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
         tgt_ids = np.where(flat >= 0, vis_ids[pos], -1)
-        nlabels = edges.shape[1]
-        rows = np.empty((n, 4 + nlabels), dtype=np.int32)
+        rows = np.empty((n, 4 + edges.shape[1]), dtype=np.int32)
         rows[:, 0] = ko + lo
         rows[:, 1] = x1
         rows[:, 2] = u
         rows[:, 3] = v
-        rows[:, 4:] = tgt_ids.reshape(n, nlabels)
-        h.update(rows.tobytes())
+        rows[:, 4:] = tgt_ids.reshape(n, -1)
+        blocks.append(rows)
+    return np.concatenate(blocks), np.concatenate(layers)
+
+
+def _rerooted_code(rows: np.ndarray, root: int) -> bytes:
+    """Code of the piece held in ``rows`` as seen from vertex ``root``.
+
+    The breadth-first walk from ``root`` in label order gives each vertex
+    the number a build from ``root`` would give it.  A layer's targets lie in
+    that layer and its two neighbours, so each layer's rows are renumbered
+    and hashed once the next layer is numbered.  The fiber column needs no
+    shift as long as ``root`` lies over the table's fiber 0."""
+    rank = np.full(len(rows) + 1, -1, dtype=np.int32)  # rank[-1] stays -1 for "no edge"
+    rank[root] = 0
+    seen = 1
+    h = hashlib.sha256()
+    layer = np.array([root])
+    while layer.size:
+        block = rows[layer]
+        targets = block[:, 4:]
+        t = targets.ravel()
+        t = t[t >= 0]
+        t = t[rank[t] < 0]
+        _, first = np.unique(t, return_index=True)
+        layer = t[np.sort(first)]
+        rank[layer] = np.arange(seen, seen + layer.size, dtype=np.int32)
+        seen += layer.size
+        targets[:] = rank[targets]
+        h.update(block)
     return h.digest()
+
+
+def _window_codes(points: list[TildePoint], lo: int, hi: int) -> list[bytes]:
+    """``piece_code(q, lo, hi)`` for every point, one piece built per Gray fiber.
+
+    Points over one Gray word share the window, so the piece built from one
+    of them holds the state of every other one it reaches, and that point's
+    code is the piece's trace re-rooted at its vertex.  A point whose state
+    the piece does not hold starts a new piece."""
+    codes: list = [None] * len(points)
+    fibers: dict[GrayWord, list[int]] = {}
+    for i, q in enumerate(points):
+        fibers.setdefault(gray_projection(q), []).append(i)
+    for members in fibers.values():
+        win = _Window(points[members[0]], lo, hi)
+        if not win.fits():
+            for i in members:
+                codes[i] = _fused_code(points[i], lo, hi)
+            continue
+        states = np.array([win.state(points[i]) for i in members], dtype=np.int64)
+        todo = np.arange(len(members))
+        while todo.size:
+            rows, table = win.rows(int(states[todo[0]]), _PIECE_CAP)
+            order = np.argsort(table)
+            at = order[np.minimum(np.searchsorted(table, states[todo], sorter=order), table.size - 1)]
+            held = table[at] == states[todo]
+            traced = {0: hashlib.sha256(rows).digest()}  # codes by vertex
+            for j, v in zip(todo[held].tolist(), at[held].tolist()):
+                code = traced.get(v)
+                if code is None:
+                    code = traced[v] = _rerooted_code(rows, v)
+                codes[members[j]] = code
+            todo = todo[~held]
+    return codes
 
 
 def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> bytes:
@@ -938,9 +1001,7 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
     return code
 
 
-def _ball_separation_radius(
-    p: TildePoint, radius: int, bound: int, start: int, memo: dict | None = None
-) -> tuple[int, tuple | None]:
+def _ball_separation_radius(p: TildePoint, radius: int, bound: int, start: int) -> tuple[int, tuple | None]:
     """Least n >= start at which all points within graph distance ``radius``
     of ``p`` get pairwise distinct radius-n piece codes.  Distinctness is
     monotone in n, so only still-colliding groups are re-coded as n grows.
@@ -948,10 +1009,10 @@ def _ball_separation_radius(
     n = start
     groups = [schreier_ball(p, radius)]
     while True:
+        points = [q for group in groups for q in group]
         buckets: dict[bytes, list[TildePoint]] = {}
-        for group in groups:
-            for q in group:
-                buckets.setdefault(piece_code(q, -n, n, memo), []).append(q)
+        for q, code in zip(points, _window_codes(points, -n, n)):
+            buckets.setdefault(code, []).append(q)
         groups = [g for g in buckets.values() if len(g) > 1]
         if not groups:
             return n, None
@@ -1036,15 +1097,15 @@ def find_n0(
 ) -> dict:
     """Smallest piece radius n such that around every sampled basepoint all
     distinct points within graph distance ``radius`` have pairwise distinct
-    central pieces of radius n.  The replay pass rechecks every ball at the
-    final value in one sweep (codes are pure functions of the point, so the
-    shared memo changes nothing about what is compared)."""
+    central pieces of radius n.  The replay pass recodes every ball at the
+    final value in one sweep.  Both passes code a ball's points one Gray
+    fiber at a time, so a piece is built once per fiber, not once per point;
+    each code still equals ``piece_code`` of its point."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
     uniq = list(dict.fromkeys(points))
-    memo: dict[bytes, bytes] = {}
     n0 = 1
     for p in uniq:
-        n, witness = _ball_separation_radius(p, radius, search_bound, start=1, memo=memo)
+        n, witness = _ball_separation_radius(p, radius, search_bound, start=1)
         if witness is not None:
             return {
                 "ok": False,
@@ -1059,12 +1120,8 @@ def find_n0(
     vertices = 0
     for p in uniq:
         ball = schreier_ball(p, radius)
-        seen: dict[bytes, TildePoint] = {}
-        for q in ball:
-            code = piece_code(q, -n0, n0, memo)
-            if code in seen:
-                collisions += 1
-            seen[code] = q
+        codes = _window_codes(ball, -n0, n0)
+        collisions += len(codes) - len(set(codes))
         pairs_checked += len(ball) * (len(ball) - 1) // 2
         vertices += len(ball)
     return {

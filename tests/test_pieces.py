@@ -14,10 +14,11 @@ import random
 import pytest
 
 from alttree.core import Config, ResourceCap
-from alttree.corpus import rng_for, sample_points
+from alttree.corpus import rng_for, sample_point, sample_points
 from alttree.pieces import (
     SEPARATION_RADIUS,
     GrayPiece,
+    _window_codes,
     branch_report,
     descriptor_labels,
     find_n0,
@@ -28,9 +29,9 @@ from alttree.pieces import (
     level_to_dot,
     level_to_json,
     marginals,
-    piece_over,
     piece_to_dot,
     piece_to_json,
+    schreier_ball,
     segment_roots,
 )
 from alttree.points import (
@@ -195,7 +196,7 @@ def _piece_edge_types(piece):
 
 
 def _compare_with_oracle(p, lo, hi):
-    piece = piece_over(p, lo, hi)
+    piece = GrayPiece.build(p, lo, hi)
     seg, slots, comp, oracle_types, base = _oracle_component(p, lo, hi)
     assert set(piece.segment) == set(seg)
     piece_states = {_piece_state(piece, i) for i in range(piece.size)}
@@ -381,7 +382,7 @@ def test_code_equality_is_pointed_iso():
         v = rng.randrange(piece.size)
         k = piece.fiber(v)
         q = piece.point_of(v)
-        other = piece_over(q, piece.lo - k, piece.hi - k)
+        other = GrayPiece.build(q, piece.lo - k, piece.hi - k)
         assert other.code() == piece.code(base=v)
 
 
@@ -407,7 +408,7 @@ def test_marginal_shapes_and_containment():
     pts_c = set(map(repr, core.points()))
     assert pts_c <= pts_l and pts_c <= pts_r
     with pytest.raises(ValueError):
-        marginals(piece_over(p, -1, 2))
+        marginals(GrayPiece.build(p, -1, 2))
     with pytest.raises(ValueError):
         marginals(gray_piece(p, 1))
 
@@ -539,10 +540,11 @@ def test_separation_radius_constant():
 
 
 def test_piece_code_matches_two_pass_build():
-    # piece_code streams the BFS straight into the hash; the two-pass route
+    # piece_code hashes the rows of a packed-state BFS; the two-pass route
     # materialises the graph and canonicalises it afterwards.  They must agree
     # byte for byte on every window shape, including ones wide enough to take
-    # the vectorised branch and ones with only a virtual pair in view.
+    # the vectorised branch and ones with only a virtual pair in view, and at
+    # every degree: d = 9 is the first that needs four bits per letter.
     rng = random.Random(0xF15E)
     pts = sample_points(CFG, 12, salt="fused", max_prefix=4, max_period=3)
     pts.append(parse_point("000[34]", 5))
@@ -551,3 +553,29 @@ def test_piece_code_matches_two_pass_build():
             n = rng.randint(1, 5)
             lo, hi = -rng.randint(0, n), rng.randint(0, n)
             assert piece_code(p, lo, hi) == GrayPiece.build(p, lo, hi).code()
+    for d, texts in (
+        (8, ("7(1)", "3332[74]", "7(61)", "1(3)", "000[57]", "6042(7)")),
+        (9, ("8(1)", "3332[84]", "7(81)", "1(3)", "000[58]", "6042(7)")),
+    ):
+        for text in texts:
+            p = parse_point(text, d)
+            for _ in range(2):
+                n = rng.randint(1, 3)
+                lo, hi = -rng.randint(0, n), rng.randint(0, n)
+                assert piece_code(p, lo, hi) == GrayPiece.build(p, lo, hi).code(), (text, lo, hi)
+
+
+def test_shared_codes_match_piece_code():
+    # find_n0 codes a list of points with one piece per Gray fiber, each
+    # point's code re-rooted at its vertex; every code must equal the point's
+    # own piece_code.  The d = 5 list mixes two basepoints' balls, and n = 5
+    # builds its pieces with the vectorised walk.  Pieces at d = 8 are large,
+    # so a radius-1 ball keeps the per-point reference codes cheap.
+    for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
+        rng = random.Random(f"shared-codes:{d}")
+        bases = [sample_point(rng, d, max_prefix=4, max_period=2) for _ in range(nbase)]
+        points = [q for p in bases for q in schreier_ball(p, radius)]
+        # fewer fibers than points: most codes come from re-rooted traces
+        assert len({gray_projection(q) for q in points}) < len(points)
+        for n in ns:
+            assert _window_codes(points, -n, n) == [piece_code(q, -n, n) for q in points], (d, n)
