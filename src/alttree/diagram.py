@@ -58,7 +58,6 @@ __all__ = [
     "encode",
     "decode",
     "cylinder_member",
-    "cylinder_semantics",
     "clopen",
     "full_space",
     "empty_set",
@@ -66,7 +65,6 @@ __all__ = [
     "image_of_clopen",
     "tower",
     "tau_apply",
-    "H_n_structure",
     "transfer_matrix",
     "path_counts",
     "is_identity_on_vertex",
@@ -340,11 +338,6 @@ def cylinder_member(eta: PathPrefix, p: TildePoint) -> bool:
     return p.tail.a == a and p.tail.b == b
 
 
-def cylinder_semantics(eta: PathPrefix):
-    """The cylinder of ``eta`` as a predicate on points."""
-    return lambda p: cylinder_member(eta, p)
-
-
 # ---------------------------------------------------------------------------
 # clopen sets: antichains of path prefixes
 
@@ -438,9 +431,6 @@ class ClopenSet:
             return False
         keys_self = {(p.labels, p.end) for p in self.cylinders}
         return not any(_covered_by(q, keys_self) for q in other.cylinders)
-
-    def equals(self, other: "ClopenSet") -> bool:
-        return self == other
 
     def refine_to_depth(self, depth: int, cap: int = 500_000) -> frozenset:
         """The same set written as raw cylinders all at the given depth
@@ -603,12 +593,6 @@ def path_counts(d: int, n: int) -> dict[Vertex, int]:
                 nxt[u] += c
         counts = nxt
     return counts
-
-
-def H_n_structure(d: int, n: int) -> dict[Vertex, int]:
-    """Per level-``n`` vertex, the degree of the finite symmetric factor
-    acting on its tower — i.e. the number of paths into it."""
-    return path_counts(d, n)
 
 
 def transfer_matrix(d: int) -> dict[tuple[Vertex, Vertex], int]:

@@ -311,7 +311,7 @@ class GrayPiece:
                     index[state] = ti
                     verts.append(state)
                     queue.append(ti)
-                    if ti > cap:
+                    if len(verts) > cap:
                         raise ResourceCap(f"piece exceeded {cap} vertices")
                 append(ti)
             for u2 in range(1, d):
@@ -334,7 +334,7 @@ class GrayPiece:
                         index[state] = ti
                         verts.append(state)
                         queue.append(ti)
-                        if ti > cap:
+                        if len(verts) > cap:
                             raise ResourceCap(f"piece exceeded {cap} vertices")
                     append(ti)
             adj.append(tuple(row))
@@ -706,212 +706,103 @@ class _Window:
         """The piece of packed state ``start`` as (rows, states): row i is the
         int32 trace row ``[fiber, x1, u, v, target per label]`` of the i-th
         vertex in breadth-first order from ``start``, and states[i] is its
-        packed state.  Narrow windows (small pieces) run the scalar walk,
-        wide ones the vectorised layer walk."""
-        if self.hi - self.lo + 1 <= 9:
-            return _piece_rows_py(self, start, cap)
-        return _piece_rows_np(self, start, cap)
+        packed state.  More than ``cap`` vertices raise ``ResourceCap``.
 
+        The walk goes one breadth-first layer at a time, successor states by
+        array arithmetic.  Vertices get the numbers ``GrayPiece.build`` gives
+        them, because edge targets are laid out parent-major, label-minor
+        before the first-occurrence scan."""
+        d, lo, hi = self.d, self.lo, self.hi
+        bits, shift = self.bits, self.shift
+        mask = (1 << bits) - 1
+        span = hi - lo + 1
 
-def _fused_code(p: TildePoint, lo: int, hi: int, cap: int = _PIECE_CAP) -> bytes:
-    """Digest of GrayPiece.build(p, lo, hi).code() without building the piece.
+        siu_f = np.empty(span, dtype=np.int64)
+        siv_f = np.empty(span, dtype=np.int64)
+        clear_f = np.empty(span, dtype=np.int64)
+        a_f = np.empty(span, dtype=np.int64)  # A-step target fiber offset, or -1
+        b_f = np.empty(span, dtype=np.int64)
+        for ko in range(span):
+            iu, iv = self.pair_slots[ko]
+            siu_f[ko] = bits * iu
+            siv_f[ko] = bits * iv
+            clear_f[ko] = ~((mask << (bits * iu)) | (mask << (bits * iv)))
+            k2 = _a_neighbor_index(ko + lo)
+            a_f[ko] = k2 - lo if lo <= k2 <= hi else -1
+            k2 = _b_neighbor_index(ko + lo)
+            b_f[ko] = k2 - lo if lo <= k2 <= hi else -1
 
-    The trace in _trace_code renumbers vertices by a breadth-first walk from
-    the basepoint in label order -- exactly the order in which build discovers
-    them -- so over the full window from the basepoint the renumbering is the
-    identity and the digest is the hash of the packed walk's rows.  Byte-for-
-    byte equality with the two-pass route is pinned by a test.  Windows too
-    wide to pack states into machine ints fall back to the two-pass route."""
-    win = _Window(p, lo, hi)
-    if not win.fits():
-        return GrayPiece.build(p, lo, hi).code()
-    rows, _ = win.rows(win.state(p), cap)
-    return hashlib.sha256(rows).digest()
+        vis_sorted = np.array([start], dtype=np.int64)
+        vis_ids = np.array([0], dtype=np.int64)
+        layer = np.array([start], dtype=np.int64)  # current layer, in id order
+        layers = []
+        blocks = []
+        next_id = 1
+        low_mask = (1 << shift) - 1
 
+        while layer.size:
+            layers.append(layer)
+            n = layer.size
+            ko = layer >> shift
+            low = layer & low_mask
+            x1 = low & mask
+            siu = siu_f[ko]
+            siv = siv_f[ko]
+            u = (layer >> siu) & mask
+            v = (layer >> siv) & mask
+            x1_nonzero = x1 != 0
+            v_nonzero = v != 0
+            ka = a_f[ko]
+            kb = b_f[ko]
+            edges = np.empty((n, d * d), dtype=np.int64)  # -1 marks no edge
+            for c in range(d):
+                flip = (c != 0) != x1_nonzero
+                tgt = np.where(flip, ka, ko)
+                valid = (x1 != c) & (tgt >= 0)
+                succ = (tgt << shift) | (low ^ (x1 ^ c))
+                edges[:, c] = np.where(valid, succ, -1)
+            base_uv = low & clear_f[ko]
+            col = d
+            for u2 in range(1, d):
+                part = base_uv | (u2 << siu)
+                for v2 in range(d):
+                    flip = (v2 != 0) != v_nonzero
+                    tgt = np.where(flip, kb, ko)
+                    valid = ~((u == u2) & (v == v2)) & (tgt >= 0)
+                    succ = (tgt << shift) | part | (v2 << siv)
+                    edges[:, col] = np.where(valid, succ, -1)
+                    col += 1
+            flat = edges.ravel()
 
-def _piece_rows_py(win: _Window, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    # Successor states are a couple of shifts and masks, and the visited
-    # table hashes machine ints; its insertion order is the vertex order.
-    d, lo, hi = win.d, win.lo, win.hi
-    bits, shift = win.bits, win.shift
-    mask = (1 << bits) - 1
-    span = hi - lo + 1
-    fiber_info = []  # per fiber offset: (siu, siv, clear pair mask)
-    a_sh = []  # pre-shifted fiber part of the A-step target, or None
-    b_sh = []
-    for ko in range(span):
-        iu, iv = win.pair_slots[ko]
-        siu, siv = bits * iu, bits * iv
-        fiber_info.append((siu, siv, ~((mask << siu) | (mask << siv))))
-        k2 = _a_neighbor_index(ko + lo)
-        a_sh.append((k2 - lo) << shift if lo <= k2 <= hi else None)
-        k2 = _b_neighbor_index(ko + lo)
-        b_sh.append((k2 - lo) << shift if lo <= k2 <= hi else None)
-
-    index = {start: 0}
-    index_get = index.get
-    queue = deque([start])
-    out = array("i")
-    extend = out.extend
-    while queue:
-        st = queue.popleft()
-        ko = st >> shift
-        packed = st ^ (ko << shift)
-        siu, siv, clear_mask = fiber_info[ko]
-        x1 = packed & mask
-        u = (packed >> siu) & mask
-        v = (packed >> siv) & mask
-        x1_nonzero = x1 != 0
-        v_nonzero = v != 0
-        same_sh = ko << shift
-        ka = a_sh[ko]
-        kb = b_sh[ko]
-        row = [ko + lo, x1, u, v]
-        append = row.append
-        for c in range(d):
-            if c == x1:
-                append(-1)
-                continue
-            if (c != 0) == x1_nonzero:
-                hs = same_sh
-            elif ka is None:
-                append(-1)
-                continue
-            else:
-                hs = ka
-            st2 = hs | (packed ^ (x1 ^ c))
-            ti = index_get(st2)
-            if ti is None:
-                ti = len(index)
-                index[st2] = ti
-                queue.append(st2)
-                if ti > cap:
+            pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
+            known = vis_sorted[pos] == flat
+            fresh = flat[(~known) & (flat >= 0)]
+            if fresh.size:
+                uq, at = np.unique(fresh, return_index=True)
+                discovered = uq[np.argsort(at, kind="stable")]
+                ids_new = np.arange(next_id, next_id + discovered.size, dtype=np.int64)
+                next_id += discovered.size
+                if next_id > cap:
                     raise ResourceCap(f"piece exceeded {cap} vertices")
-            append(ti)
-        base_uv = packed & clear_mask
-        for u2 in range(1, d):
-            part = base_uv | (u2 << siu)
-            for v2 in range(d):
-                if u2 == u and v2 == v:
-                    append(-1)
-                    continue
-                if (v2 != 0) == v_nonzero:
-                    hs = same_sh
-                elif kb is None:
-                    append(-1)
-                    continue
-                else:
-                    hs = kb
-                st2 = hs | part | (v2 << siv)
-                ti = index_get(st2)
-                if ti is None:
-                    ti = len(index)
-                    index[st2] = ti
-                    queue.append(st2)
-                    if ti > cap:
-                        raise ResourceCap(f"piece exceeded {cap} vertices")
-                append(ti)
-        extend(row)
-    rows = np.frombuffer(out, dtype=np.int32).reshape(len(index), 4 + d * d)
-    return rows, np.fromiter(index, dtype=np.int64, count=len(index))
+                vis_sorted = np.concatenate([vis_sorted, discovered])
+                vis_ids = np.concatenate([vis_ids, ids_new])
+                order = np.argsort(vis_sorted, kind="stable")
+                vis_sorted = vis_sorted[order]
+                vis_ids = vis_ids[order]
+                layer = discovered
+            else:
+                layer = fresh
 
-
-def _piece_rows_np(win: _Window, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    # Vectorised twin of _piece_rows_py: one breadth-first layer at a time,
-    # successor states by array arithmetic.  Vertex numbering matches the
-    # scalar walk because edge targets are laid out parent-major, label-minor
-    # before the first-occurrence scan.
-    d, lo, hi = win.d, win.lo, win.hi
-    bits, shift = win.bits, win.shift
-    mask = (1 << bits) - 1
-    span = hi - lo + 1
-
-    siu_f = np.empty(span, dtype=np.int64)
-    siv_f = np.empty(span, dtype=np.int64)
-    clear_f = np.empty(span, dtype=np.int64)
-    a_f = np.empty(span, dtype=np.int64)  # A-step target fiber offset, or -1
-    b_f = np.empty(span, dtype=np.int64)
-    for ko in range(span):
-        iu, iv = win.pair_slots[ko]
-        siu_f[ko] = bits * iu
-        siv_f[ko] = bits * iv
-        clear_f[ko] = ~((mask << (bits * iu)) | (mask << (bits * iv)))
-        k2 = _a_neighbor_index(ko + lo)
-        a_f[ko] = k2 - lo if lo <= k2 <= hi else -1
-        k2 = _b_neighbor_index(ko + lo)
-        b_f[ko] = k2 - lo if lo <= k2 <= hi else -1
-
-    vis_sorted = np.array([start], dtype=np.int64)
-    vis_ids = np.array([0], dtype=np.int64)
-    layer = np.array([start], dtype=np.int64)  # current layer, in id order
-    layers = []
-    blocks = []
-    next_id = 1
-    low_mask = (1 << shift) - 1
-
-    while layer.size:
-        layers.append(layer)
-        n = layer.size
-        ko = layer >> shift
-        low = layer & low_mask
-        x1 = low & mask
-        siu = siu_f[ko]
-        siv = siv_f[ko]
-        u = (layer >> siu) & mask
-        v = (layer >> siv) & mask
-        x1_nonzero = x1 != 0
-        v_nonzero = v != 0
-        ka = a_f[ko]
-        kb = b_f[ko]
-        edges = np.empty((n, d * d), dtype=np.int64)  # -1 marks no edge
-        for c in range(d):
-            flip = (c != 0) != x1_nonzero
-            tgt = np.where(flip, ka, ko)
-            valid = (x1 != c) & (tgt >= 0)
-            succ = (tgt << shift) | (low ^ (x1 ^ c))
-            edges[:, c] = np.where(valid, succ, -1)
-        base_uv = low & clear_f[ko]
-        col = d
-        for u2 in range(1, d):
-            part = base_uv | (u2 << siu)
-            for v2 in range(d):
-                flip = (v2 != 0) != v_nonzero
-                tgt = np.where(flip, kb, ko)
-                valid = ~((u == u2) & (v == v2)) & (tgt >= 0)
-                succ = (tgt << shift) | part | (v2 << siv)
-                edges[:, col] = np.where(valid, succ, -1)
-                col += 1
-        flat = edges.ravel()
-
-        pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
-        known = vis_sorted[pos] == flat
-        fresh = flat[(~known) & (flat >= 0)]
-        if fresh.size:
-            uq, at = np.unique(fresh, return_index=True)
-            discovered = uq[np.argsort(at, kind="stable")]
-            ids_new = np.arange(next_id, next_id + discovered.size, dtype=np.int64)
-            next_id += discovered.size
-            if next_id > cap:
-                raise ResourceCap(f"piece exceeded {cap} vertices")
-            vis_sorted = np.concatenate([vis_sorted, discovered])
-            vis_ids = np.concatenate([vis_ids, ids_new])
-            order = np.argsort(vis_sorted, kind="stable")
-            vis_sorted = vis_sorted[order]
-            vis_ids = vis_ids[order]
-            layer = discovered
-        else:
-            layer = fresh
-
-        pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
-        tgt_ids = np.where(flat >= 0, vis_ids[pos], -1)
-        rows = np.empty((n, 4 + edges.shape[1]), dtype=np.int32)
-        rows[:, 0] = ko + lo
-        rows[:, 1] = x1
-        rows[:, 2] = u
-        rows[:, 3] = v
-        rows[:, 4:] = tgt_ids.reshape(n, -1)
-        blocks.append(rows)
-    return np.concatenate(blocks), np.concatenate(layers)
+            pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
+            tgt_ids = np.where(flat >= 0, vis_ids[pos], -1)
+            rows = np.empty((n, 4 + edges.shape[1]), dtype=np.int32)
+            rows[:, 0] = ko + lo
+            rows[:, 1] = x1
+            rows[:, 2] = u
+            rows[:, 3] = v
+            rows[:, 4:] = tgt_ids.reshape(n, -1)
+            blocks.append(rows)
+        return np.concatenate(blocks), np.concatenate(layers)
 
 
 def _rerooted_code(rows: np.ndarray, root: int) -> bytes:
@@ -957,7 +848,7 @@ def _window_codes(points: list[TildePoint], lo: int, hi: int) -> list[bytes]:
         win = _Window(points[members[0]], lo, hi)
         if not win.fits():
             for i in members:
-                codes[i] = _fused_code(points[i], lo, hi)
+                codes[i] = piece_code(points[i], lo, hi)
             continue
         states = np.array([win.state(points[i]) for i in members], dtype=np.int64)
         todo = np.arange(len(members))
@@ -977,37 +868,47 @@ def _window_codes(points: list[TildePoint], lo: int, hi: int) -> list[bytes]:
 
 
 def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> bytes:
-    """Code of the piece of ``q`` over [lo, hi], optionally memoised.
+    """Digest of ``GrayPiece.build(q, lo, hi).code()``, optionally memoised.
+
+    The trace in _trace_code renumbers vertices by a breadth-first walk from
+    the basepoint in label order -- exactly the order in which build discovers
+    them -- so over the full window from the basepoint the renumbering is the
+    identity and the digest is the hash of the packed walk's rows.  Byte-for-
+    byte equality with the two-pass route is pinned by a test.  Windows too
+    wide to pack states into machine ints fall back to the two-pass route.
 
     A piece is determined by the window's Gray words together with the
     letters of ``q`` at the window's visible positions (plus the formal pair
     when the window shows it) -- nothing else about ``q`` enters the build.
     That tuple keys the memo, so points that differ only at positions the
     window cannot see share one build."""
-    if memo is None:
-        return _fused_code(q, lo, hi)
-    seg = gray_segment(gray_projection(q), lo, hi)
-    slots, has_pair = visible_positions(seg)
-    letters = tuple(q.letter(i) for i in slots)
-    pair = (q.tail.a, q.tail.b) if has_pair else None
-    shape = tuple((w.prefix, w.period, w.star2) for w in seg)
-    key = hashlib.sha256(repr((shape, lo, hi, letters, pair)).encode()).digest()
-    code = memo.get(key)
-    if code is None:
+    win = _Window(q, lo, hi)
+    key = None
+    if memo is not None:
+        shape = tuple((w.prefix, w.period, w.star2) for w in win.segment)
+        key = hashlib.sha256(repr((shape, lo, hi, win.letters(q))).encode()).digest()
+        code = memo.get(key)
+        if code is not None:
+            return code
         if len(memo) > 1_000_000:
             memo.clear()
-        code = _fused_code(q, lo, hi)
+    if win.fits():
+        rows, _ = win.rows(win.state(q), _PIECE_CAP)
+        code = hashlib.sha256(rows).digest()
+    else:
+        code = GrayPiece.build(q, lo, hi).code()
+    if key is not None:
         memo[key] = code
     return code
 
 
-def _ball_separation_radius(p: TildePoint, radius: int, bound: int, start: int) -> tuple[int, tuple | None]:
-    """Least n >= start at which all points within graph distance ``radius``
-    of ``p`` get pairwise distinct radius-n piece codes.  Distinctness is
-    monotone in n, so only still-colliding groups are re-coded as n grows.
-    Returns (n, None) or (bound, counterexample pair) when the bound runs out."""
+def _ball_separation_radius(ball: list[TildePoint], bound: int, start: int) -> tuple[int, tuple | None]:
+    """Least n >= start at which all points of ``ball`` get pairwise distinct
+    radius-n piece codes.  Distinctness is monotone in n, so only
+    still-colliding groups are re-coded as n grows.  Returns (n, None) or
+    (bound, counterexample pair) when the bound runs out."""
     n = start
-    groups = [schreier_ball(p, radius)]
+    groups = [ball]
     while True:
         points = [q for group in groups for q in group]
         buckets: dict[bytes, list[TildePoint]] = {}
@@ -1097,15 +998,17 @@ def find_n0(
 ) -> dict:
     """Smallest piece radius n such that around every sampled basepoint all
     distinct points within graph distance ``radius`` have pairwise distinct
-    central pieces of radius n.  The replay pass recodes every ball at the
-    final value in one sweep.  Both passes code a ball's points one Gray
-    fiber at a time, so a piece is built once per fiber, not once per point;
-    each code still equals ``piece_code`` of its point."""
+    central pieces of radius n.  The replay pass recodes the balls the
+    search built at the final value in one sweep.  Both passes code a ball's
+    points one Gray fiber at a time, so a piece is built once per fiber, not
+    once per point; each code still equals ``piece_code`` of its point."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
     uniq = list(dict.fromkeys(points))
     n0 = 1
+    balls = []
     for p in uniq:
-        n, witness = _ball_separation_radius(p, radius, search_bound, start=1)
+        ball = schreier_ball(p, radius)
+        n, witness = _ball_separation_radius(ball, search_bound, start=1)
         if witness is not None:
             return {
                 "ok": False,
@@ -1115,11 +1018,11 @@ def find_n0(
                 "counterexample": {"basepoint": repr(p), "pair": witness},
             }
         n0 = max(n0, n)
+        balls.append(ball)
     collisions = 0
     pairs_checked = 0
     vertices = 0
-    for p in uniq:
-        ball = schreier_ball(p, radius)
+    for ball in balls:
         codes = _window_codes(ball, -n0, n0)
         collisions += len(codes) - len(set(codes))
         pairs_checked += len(ball) * (len(ball) - 1) // 2

@@ -23,7 +23,6 @@ from alttree.diagram import (
     clopen,
     contraction_depth,
     cylinder_member,
-    cylinder_semantics,
     decode,
     diagram_to_dot,
     diagram_to_json,
@@ -31,7 +30,6 @@ from alttree.diagram import (
     encode,
     full_connectivity_steps,
     full_space,
-    H_n_structure,
     image_of_clopen,
     image_of_cylinder,
     is_identity_on_vertex,
@@ -156,8 +154,8 @@ def test_path_counts_bruteforce_and_transfer_matrix():
 
 
 def test_H_structure_degrees():
-    assert set(H_n_structure(D, 1).values()) == {5}
-    assert set(H_n_structure(D, 2).values()) == {25}
+    assert set(path_counts(D, 1).values()) == {5}
+    assert set(path_counts(D, 2).values()) == {25}
 
 
 def test_full_connectivity_steps():
@@ -245,25 +243,23 @@ def test_decode_with_tail():
 
 def test_cylinder_semantics_star_case():
     eta = path(D, (4,), "21*")
-    member = cylinder_semantics(eta)
-    assert member(parse_point("421(3)", D))
-    assert member(parse_point("42(13)", D))
-    assert member(zero_pair_point(D, (4, 2, 1), 3, 0))
-    assert not member(parse_point("431(3)", D))
-    assert not member(parse_point("41(2)", D))
-    assert not member(parse_point("422(1)", D))
+    assert cylinder_member(eta, parse_point("421(3)", D))
+    assert cylinder_member(eta, parse_point("42(13)", D))
+    assert cylinder_member(eta, zero_pair_point(D, (4, 2, 1), 3, 0))
+    assert not cylinder_member(eta, parse_point("431(3)", D))
+    assert not cylinder_member(eta, parse_point("41(2)", D))
+    assert not cylinder_member(eta, parse_point("422(1)", D))
 
 
 def test_cylinder_semantics_zero_case():
     eta = path(D, (4,), "210")
-    member = cylinder_semantics(eta)
-    assert member(zero_pair_point(D, (4,), 2, 1))
-    assert member(parse_point("4021(3)", D))
-    assert member(parse_point("40021(3)", D))
-    assert not member(parse_point("4031(3)", D))  # wrong visible letter
-    assert not member(parse_point("4023(1)", D))  # wrong follower
-    assert not member(parse_point("421(3)", D))  # no zero at position 2
-    assert not member(zero_pair_point(D, (4,), 2, 3))
+    assert cylinder_member(eta, zero_pair_point(D, (4,), 2, 1))
+    assert cylinder_member(eta, parse_point("4021(3)", D))
+    assert cylinder_member(eta, parse_point("40021(3)", D))
+    assert not cylinder_member(eta, parse_point("4031(3)", D))  # wrong visible letter
+    assert not cylinder_member(eta, parse_point("4023(1)", D))  # wrong follower
+    assert not cylinder_member(eta, parse_point("421(3)", D))  # no zero at position 2
+    assert not cylinder_member(eta, zero_pair_point(D, (4,), 2, 3))
 
 
 def test_membership_agrees_with_encode():

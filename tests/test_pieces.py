@@ -18,6 +18,7 @@ from alttree.corpus import rng_for, sample_point, sample_points
 from alttree.pieces import (
     SEPARATION_RADIUS,
     GrayPiece,
+    _Window,
     _window_codes,
     branch_report,
     descriptor_labels,
@@ -542,9 +543,9 @@ def test_separation_radius_constant():
 def test_piece_code_matches_two_pass_build():
     # piece_code hashes the rows of a packed-state BFS; the two-pass route
     # materialises the graph and canonicalises it afterwards.  They must agree
-    # byte for byte on every window shape, including ones wide enough to take
-    # the vectorised branch and ones with only a virtual pair in view, and at
-    # every degree: d = 9 is the first that needs four bits per letter.
+    # byte for byte on every window shape, spans 1 to 11, including ones with
+    # only a virtual pair in view, and at every degree: d = 9 is the first that
+    # needs four bits per letter.
     rng = random.Random(0xF15E)
     pts = sample_points(CFG, 12, salt="fused", max_prefix=4, max_period=3)
     pts.append(parse_point("000[34]", 5))
@@ -568,9 +569,9 @@ def test_piece_code_matches_two_pass_build():
 def test_shared_codes_match_piece_code():
     # find_n0 codes a list of points with one piece per Gray fiber, each
     # point's code re-rooted at its vertex; every code must equal the point's
-    # own piece_code.  The d = 5 list mixes two basepoints' balls, and n = 5
-    # builds its pieces with the vectorised walk.  Pieces at d = 8 are large,
-    # so a radius-1 ball keeps the per-point reference codes cheap.
+    # own piece_code.  The d = 5 list mixes two basepoints' balls over
+    # windows of span 3 to 11.  Pieces at d = 8 are large, so a radius-1 ball
+    # keeps the per-point reference codes cheap.
     for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
         rng = random.Random(f"shared-codes:{d}")
         bases = [sample_point(rng, d, max_prefix=4, max_period=2) for _ in range(nbase)]
@@ -579,3 +580,18 @@ def test_shared_codes_match_piece_code():
         assert len({gray_projection(q) for q in points}) < len(points)
         for n in ns:
             assert _window_codes(points, -n, n) == [piece_code(q, -n, n) for q in points], (d, n)
+
+
+def test_vertex_cap_boundary():
+    # A cap bounds the vertex count: a piece of exactly ``cap`` vertices
+    # passes, one more raises, in the two-pass build and the packed walk alike.
+    p = parse_point("3332[24]", 5)
+    win = _Window(p, -1, 1)
+    size = GrayPiece.build(p, -1, 1).size
+    rows, _ = win.rows(win.state(p), size)
+    assert len(rows) == size
+    assert GrayPiece.build(p, -1, 1, cap=size).size == size
+    with pytest.raises(ResourceCap):
+        GrayPiece.build(p, -1, 1, cap=size - 1)
+    with pytest.raises(ResourceCap):
+        win.rows(win.state(p), size - 1)

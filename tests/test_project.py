@@ -1,0 +1,17 @@
+"""The project metadata promises only what the package provides."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as f:
+        scripts = tomllib.load(f)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
