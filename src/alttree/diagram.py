@@ -342,15 +342,6 @@ def cylinder_member(eta: PathPrefix, p: TildePoint) -> bool:
 # clopen sets: antichains of path prefixes
 
 
-def _contains(big: PathPrefix, small: PathPrefix) -> bool:
-    nb = len(big.labels)
-    if nb > len(small.labels) or small.labels[:nb] != big.labels:
-        return False
-    if big.end is None:
-        return True
-    return small.chain()[nb - 1] == big.end
-
-
 def _covered_by(p: PathPrefix, keys: set) -> bool:
     """Does some cylinder whose (labels, end) key is listed contain ``p``?
 

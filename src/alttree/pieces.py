@@ -68,7 +68,8 @@ __all__ = [
 # (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
 # distinct points in every ball, radius 5 does not.  The audit reports
 # n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
-# replay collision; it takes about a minute:
+# replay collision; it takes about 15 s on a 2-vCPU host (Python 3.11,
+# numpy 2.4):
 #
 #   cfg = Config.default(5)
 #   find_n0(cfg, sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2), radius=8)
@@ -833,22 +834,103 @@ def _rerooted_code(rows: np.ndarray, root: int) -> bytes:
     return h.digest()
 
 
-def _window_codes(points: list[TildePoint], lo: int, hi: int) -> list[bytes]:
-    """``piece_code(q, lo, hi)`` for every point, one piece built per Gray fiber.
+def _mix(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fold the int64 column ``x`` into the 64-bit hashes ``h``, in place:
+    ``h`` goes through a bijective scramble, then ``x`` is added."""
+    h ^= h >> np.uint64(31)
+    h *= np.uint64(0x9E3779B97F4A7C15)
+    h += x.view(np.uint64)
+    return h
+
+
+def _classes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(an index of each distinct value, class of every entry) for the
+    values in ``h``, classes numbered in sorted order of value: what
+    ``np.unique`` returns as index and inverse, with fewer temporaries."""
+    order = np.argsort(h)
+    ordered = h[order]
+    first = np.empty(h.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    del ordered
+    ids = np.cumsum(first)
+    ids -= 1
+    colour = np.empty(h.size, dtype=np.int64)
+    colour[order] = ids
+    return order[first], colour
+
+
+def _bisimulation_classes(pieces: list[np.ndarray], lo: int, d: int) -> np.ndarray | None:
+    """Class of every vertex of the pieces, numbered one piece after another,
+    in the coarsest stable partition of their disjoint union, or None when
+    the hashed refinement cannot be confirmed.
+
+    A piece is a deterministic automaton with the annotation ``[fiber, x1,
+    u, v]`` as output and at most one target per label, so the coarsest
+    partition that refines the annotations and is stable under every label
+    ("no edge" counting as a class of its own) puts two vertices together
+    exactly when they are bisimilar.  Each round hashes every vertex's class
+    and its targets' classes, one label column at a time, and stops when
+    the class count stops growing.  A hash collision can only merge classes,
+    so the last partition is at least as coarse as the true one; it is
+    returned only if it refines the annotations and is stable, checked
+    exactly against each class's representative, and then it is the true
+    one."""
+    bounds = np.cumsum([0] + [len(r) for r in pieces])
+    ann = np.empty(bounds[-1], dtype=np.int64)
+    for r, s, e in zip(pieces, bounds, bounds[1:]):
+        ann[s:e] = (((r[:, 0].astype(np.int64) - lo) * d + r[:, 1]) * d + r[:, 2]) * d + r[:, 3]
+    rep, colour = _classes(ann)
+
+    def target_colours():
+        # per label, the class of every vertex's target, -1 for no edge
+        ext = [np.append(colour[s:e], -1) for s, e in zip(bounds, bounds[1:])]
+        tc = np.empty_like(colour)
+        for j in range(4, pieces[0].shape[1]):
+            for r, c, s, e in zip(pieces, ext, bounds, bounds[1:]):
+                np.take(c, r[:, j], out=tc[s:e])
+            yield tc
+
+    while True:
+        h = colour.astype(np.uint64)
+        for tc in target_colours():
+            h = _mix(h, tc)
+        rep2, colour2 = _classes(h)
+        if rep2.size <= rep.size:
+            break
+        rep, colour = rep2, colour2
+    del rep2, colour2  # the check below holds the most temporaries
+    of = rep[colour]
+    if (ann[of] != ann).any() or any((tc[of] != tc).any() for tc in target_colours()):
+        return None
+    return colour
+
+
+def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int | bytes]:
+    """One key per point; two points share a key exactly when their
+    ``piece_code(q, lo, hi)`` are equal.
 
     Points over one Gray word share the window, so the piece built from one
-    of them holds the state of every other one it reaches, and that point's
-    code is the piece's trace re-rooted at its vertex.  A point whose state
-    the piece does not hold starts a new piece."""
-    codes: list = [None] * len(points)
+    of them holds the state of every other one it reaches; a point whose
+    state the piece does not hold starts a new piece.  Every point lies over
+    its window's fiber 0, so its code is the canonical form of its pointed
+    piece.  When every piece is minimal -- no two of its vertices bisimilar --
+    two pointed pieces are isomorphic exactly when their points are
+    bisimilar in the union of the round's pieces, and a point's key is its
+    class there (an int).  A point of a non-minimal piece keys by its code
+    (bytes, never equal to an int): such a piece is isomorphic to no minimal
+    one.  If a window is too wide to pack or the classes cannot be
+    confirmed, every point keys by its code."""
+    keys: list = [None] * len(points)
     fibers: dict[GrayWord, list[int]] = {}
     for i, q in enumerate(points):
         fibers.setdefault(gray_projection(q), []).append(i)
+    pieces = []  # (rows, point indices, their vertices)
     for members in fibers.values():
         win = _Window(points[members[0]], lo, hi)
         if not win.fits():
             for i in members:
-                codes[i] = piece_code(points[i], lo, hi)
+                keys[i] = piece_code(points[i], lo, hi)
             continue
         states = np.array([win.state(points[i]) for i in members], dtype=np.int64)
         todo = np.arange(len(members))
@@ -857,14 +939,26 @@ def _window_codes(points: list[TildePoint], lo: int, hi: int) -> list[bytes]:
             order = np.argsort(table)
             at = order[np.minimum(np.searchsorted(table, states[todo], sorter=order), table.size - 1)]
             held = table[at] == states[todo]
-            traced = {0: hashlib.sha256(rows).digest()}  # codes by vertex
-            for j, v in zip(todo[held].tolist(), at[held].tolist()):
-                code = traced.get(v)
-                if code is None:
-                    code = traced[v] = _rerooted_code(rows, v)
-                codes[members[j]] = code
+            pieces.append((rows, [members[j] for j in todo[held].tolist()], at[held].tolist()))
             todo = todo[~held]
-    return codes
+    classes = None
+    if pieces and all(k is None for k in keys):
+        classes = _bisimulation_classes([rows for rows, _, _ in pieces], lo, points[0].d)
+    start = 0
+    for rows, idx, verts in pieces:
+        own = None if classes is None else classes[start : start + len(rows)]
+        start += len(rows)
+        if own is not None and np.unique(own).size == len(rows):
+            for i, v in zip(idx, verts):
+                keys[i] = int(own[v])
+            continue
+        traced = {0: hashlib.sha256(rows).digest()}  # codes by vertex
+        for i, v in zip(idx, verts):
+            code = traced.get(v)
+            if code is None:
+                code = traced[v] = _rerooted_code(rows, v)
+            keys[i] = code
+    return keys
 
 
 def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> bytes:
@@ -904,16 +998,17 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
 
 def _ball_separation_radius(ball: list[TildePoint], bound: int, start: int) -> tuple[int, tuple | None]:
     """Least n >= start at which all points of ``ball`` get pairwise distinct
-    radius-n piece codes.  Distinctness is monotone in n, so only
-    still-colliding groups are re-coded as n grows.  Returns (n, None) or
-    (bound, counterexample pair) when the bound runs out."""
+    radius-n piece codes, compared through their ``_window_keys``.
+    Distinctness is monotone in n, so only still-colliding groups are
+    re-keyed as n grows.  Returns (n, None) or (bound, counterexample pair)
+    when the bound runs out."""
     n = start
     groups = [ball]
     while True:
         points = [q for group in groups for q in group]
-        buckets: dict[bytes, list[TildePoint]] = {}
-        for q, code in zip(points, _window_codes(points, -n, n)):
-            buckets.setdefault(code, []).append(q)
+        buckets: dict[int | bytes, list[TildePoint]] = {}
+        for q, key in zip(points, _window_keys(points, -n, n)):
+            buckets.setdefault(key, []).append(q)
         groups = [g for g in buckets.values() if len(g) > 1]
         if not groups:
             return n, None
@@ -998,10 +1093,11 @@ def find_n0(
 ) -> dict:
     """Smallest piece radius n such that around every sampled basepoint all
     distinct points within graph distance ``radius`` have pairwise distinct
-    central pieces of radius n.  The replay pass recodes the balls the
-    search built at the final value in one sweep.  Both passes code a ball's
-    points one Gray fiber at a time, so a piece is built once per fiber, not
-    once per point; each code still equals ``piece_code`` of its point."""
+    central pieces of radius n.  The replay pass re-keys the balls the
+    search built at the final value in one sweep.  Both passes key a ball's
+    points with ``_window_keys``: a piece is built once per Gray fiber, not
+    once per point, and one partition refinement over a round's pieces
+    decides which points have equal ``piece_code``."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
     uniq = list(dict.fromkeys(points))
     n0 = 1
@@ -1023,8 +1119,8 @@ def find_n0(
     pairs_checked = 0
     vertices = 0
     for ball in balls:
-        codes = _window_codes(ball, -n0, n0)
-        collisions += len(codes) - len(set(codes))
+        keys = _window_keys(ball, -n0, n0)
+        collisions += len(keys) - len(set(keys))
         pairs_checked += len(ball) * (len(ball) - 1) // 2
         vertices += len(ball)
     return {

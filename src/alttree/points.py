@@ -91,14 +91,6 @@ def pos_sort_key(pos: Position):
     return (0, pos)
 
 
-def pos_after(pos: Position) -> Position:
-    if pos is OMEGA:
-        return OMEGA1
-    if isinstance(pos, _InfPos):
-        raise ValueError("no position after omega+1")
-    return pos + 1
-
-
 # ---------------------------------------------------------------------------
 # points
 

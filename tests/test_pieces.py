@@ -11,15 +11,17 @@ recovered, not assumed.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import alttree.pieces as pieces_mod
 from alttree.core import Config, ResourceCap
 from alttree.corpus import rng_for, sample_point, sample_points
 from alttree.pieces import (
     SEPARATION_RADIUS,
     GrayPiece,
     _Window,
-    _window_codes,
+    _window_keys,
     branch_report,
     descriptor_labels,
     find_n0,
@@ -566,20 +568,91 @@ def test_piece_code_matches_two_pass_build():
                 assert piece_code(p, lo, hi) == GrayPiece.build(p, lo, hi).code(), (text, lo, hi)
 
 
-def test_shared_codes_match_piece_code():
-    # find_n0 codes a list of points with one piece per Gray fiber, each
-    # point's code re-rooted at its vertex; every code must equal the point's
-    # own piece_code.  The d = 5 list mixes two basepoints' balls over
-    # windows of span 3 to 11.  Pieces at d = 8 are large, so a radius-1 ball
-    # keeps the per-point reference codes cheap.
+def _partition(keys) -> list[int]:
+    """Each item's first index with an equal key: equal lists mean equal
+    partitions of the items."""
+    first: dict = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+def _shared_inputs(d: int, radius: int, nbase: int) -> list:
+    rng = random.Random(f"shared-codes:{d}")
+    bases = [sample_point(rng, d, max_prefix=4, max_period=2) for _ in range(nbase)]
+    return [q for p in bases for q in schreier_ball(p, radius)]
+
+
+def test_window_keys_shared_exactly_when_piece_codes_equal():
+    # find_n0 keys a list of points by one partition refinement over the
+    # pieces built once per Gray fiber; two points must share a key exactly
+    # when their own piece_code values are equal.  find_n0 uses nothing of a
+    # key but which points share it, so this oracle is as strong as equality
+    # of the codes themselves.  The d = 5 list mixes two basepoints' balls
+    # over windows of span 3 to 11.  Pieces at d = 8 are large, so a radius-1
+    # ball keeps the per-point reference codes cheap.
     for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
-        rng = random.Random(f"shared-codes:{d}")
-        bases = [sample_point(rng, d, max_prefix=4, max_period=2) for _ in range(nbase)]
-        points = [q for p in bases for q in schreier_ball(p, radius)]
-        # fewer fibers than points: most codes come from re-rooted traces
+        points = _shared_inputs(d, radius, nbase)
+        # fewer fibers than points: pieces are shared between points
         assert len({gray_projection(q) for q in points}) < len(points)
         for n in ns:
-            assert _window_codes(points, -n, n) == [piece_code(q, -n, n) for q in points], (d, n)
+            keys = _window_keys(points, -n, n)
+            # every piece here is minimal, so every key is a class
+            assert all(isinstance(k, int) for k in keys), (d, n)
+            assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), (d, n)
+
+
+def _toy_pieces() -> list:
+    # Three hand-made pieces with one label: a 2-cycle of equally annotated
+    # vertices, one such vertex with a self-loop, and a 2-cycle whose vertices
+    # differ in x1.
+    ann = [0, 1, 1, 1]
+    cycle = np.array([ann + [1], ann + [0]], dtype=np.int32)
+    loop = np.array([ann + [0]], dtype=np.int32)
+    mixed = np.array([ann + [1], [0, 2, 1, 1, 0]], dtype=np.int32)
+    return [cycle, loop, mixed]
+
+
+def test_bisimulation_classes_find_non_minimal_pieces():
+    # The first two toy pieces are bisimilar everywhere, so the first is not
+    # minimal; the third is, and shares no class with them.
+    classes = pieces_mod._bisimulation_classes(_toy_pieces(), 0, 5).tolist()
+    assert classes[0] == classes[1] == classes[2]
+    assert len(set(classes[3:])) == 2 and classes[0] not in classes[3:]
+
+
+def test_non_minimal_piece_points_keep_their_codes(monkeypatch):
+    # Stub the refinement so that the first piece's vertices all share one
+    # class.  That piece then fails the minimality check: its points must key
+    # by their own codes, and the partition must not change.
+    points = _shared_inputs(5, 2, 1)
+    real = pieces_mod._bisimulation_classes
+    sizes = []
+
+    def merged(blocks, lo, d):
+        classes = real(blocks, lo, d)
+        sizes.append(len(blocks[0]))
+        classes[: len(blocks[0])] = classes[0]
+        return classes
+
+    monkeypatch.setattr(pieces_mod, "_bisimulation_classes", merged)
+    codes = [piece_code(q, -2, 2) for q in points]
+    keys = _window_keys(points, -2, 2)
+    assert sizes and sizes[0] > 1
+    coded = [i for i, k in enumerate(keys) if isinstance(k, bytes)]
+    assert 0 < len(coded) < len(points)
+    assert all(keys[i] == codes[i] for i in coded)
+    assert _partition(keys) == _partition(codes)
+
+
+def test_hash_collisions_fall_back_to_codes(monkeypatch):
+    # With every hash colliding the refinement cannot be confirmed, so the
+    # whole round keys by codes, and the partition is still the codes'.
+    points = _shared_inputs(5, 2, 1)
+    monkeypatch.setattr(pieces_mod, "_mix", lambda h, x: np.zeros_like(h))
+    # the exact check must refuse the merged classes of the toy pieces
+    assert pieces_mod._bisimulation_classes(_toy_pieces(), 0, 5) is None
+    for n in (1, 2):
+        codes = [piece_code(q, -n, n) for q in points]
+        assert _window_keys(points, -n, n) == codes, n
 
 
 def test_vertex_cap_boundary():
