@@ -21,6 +21,12 @@ all sections of products (it is the nucleus of the group generated).
 Group elements are plain tuples of generators ("words"); the word
 ``(g1, g2, g3)`` acts as the composition ``g1 o g2 o g3`` (rightmost
 acts first).  Everything here is exact: no floats, no approximation.
+
+Every word is built from a few generator objects, so each generator
+computes its inverse (whose inverse is the generator itself), its tuple of
+sections and its hash once and keeps them.  Products, inverses and
+identities of ``Perm`` are permutations by construction and skip the
+validation that the public constructor, ``a_gen`` and ``b_gen`` apply.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ class ResourceCap(RuntimeError):
 # permutations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Perm:
     """A permutation of {0..d-1}, stored as the tuple of images."""
 
@@ -81,9 +87,16 @@ class Perm:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap images that are a permutation by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @staticmethod
     def identity(d: int) -> "Perm":
-        return Perm(tuple(range(d)))
+        return Perm._unchecked(tuple(range(d)))
 
     @staticmethod
     def from_cycles(d: int, *cycles: tuple[int, ...]) -> "Perm":
@@ -103,16 +116,17 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # (p * q)(x) = p(q(x))
-        return Perm(tuple(self.images[y] for y in other.images))
+        images = self.images
+        return Perm._unchecked(tuple([images[y] for y in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(tuple(inv))
+        return Perm._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def is_even(self) -> bool:
         seen = [False] * len(self.images)
@@ -179,11 +193,23 @@ def perm_closure(perms: list[Perm], cap: int = 500_000) -> set[Perm]:
 # generators
 
 
+def _link_inverses(g: "Gen", h: "Gen") -> None:
+    object.__setattr__(g, "_inv", h)
+    object.__setattr__(h, "_inv", g)
+
+
 @dataclass(frozen=True)
 class AGen:
     """First-letter permutation; all sections trivial."""
 
     pi: Perm
+    _inv = None  # the inverse, once computed
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.pi,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def d(self) -> int:
@@ -201,7 +227,9 @@ class AGen:
         return identity_gen(self.d)
 
     def inverse(self) -> "AGen":
-        return AGen(self.pi.inverse())
+        if self._inv is None:
+            _link_inverses(self, AGen(self.pi.inverse()))
+        return self._inv
 
     def is_identity(self) -> bool:
         return self.pi.is_identity()
@@ -219,10 +247,16 @@ class BGen:
 
     rho: Perm
     sigmas: tuple[Perm, ...]
+    _inv = None  # the inverse, once computed
+    _sections = None  # (self, a_gen(sigma_1), ..., a_gen(sigma_{d-1})), once computed
 
     def __post_init__(self):
         if len(self.sigmas) != self.rho.d - 1:
             raise ValueError("need one slot permutation per nonzero letter")
+        object.__setattr__(self, "_hash", hash((self.rho, self.sigmas)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def d(self) -> int:
@@ -250,15 +284,21 @@ class BGen:
         return tuple(out)
 
     def section(self, x: int) -> "Gen":
-        if x == 0:
-            return self
-        return a_gen(self.sigma(x))
+        secs = self._sections
+        if secs is None:
+            secs = (self,) + tuple(a_gen(s) for s in self.sigmas)
+            object.__setattr__(self, "_sections", secs)
+        if not 0 <= x < len(secs):
+            raise ValueError(f"slot index out of range: {x}")
+        return secs[x]
 
     def inverse(self) -> "BGen":
-        rinv = self.rho.inverse()
-        # (b^-1)|_i = (b|_{rho^-1(i)})^-1
-        sig = tuple(self.sigma(rinv(i)).inverse() for i in range(1, self.d))
-        return BGen(rinv, sig)
+        if self._inv is None:
+            rinv = self.rho.inverse()
+            # (b^-1)|_i = (b|_{rho^-1(i)})^-1
+            sig = tuple(self.sigma(rinv(i)).inverse() for i in range(1, self.d))
+            _link_inverses(self, BGen(rinv, sig))
+        return self._inv
 
     def is_identity(self) -> bool:
         return self.rho.is_identity() and all(s.is_identity() for s in self.sigmas)
@@ -596,12 +636,75 @@ def _connected(nodes: set[int], edges: list[tuple[int, int]]) -> bool:
     return seen == nodes
 
 
+def _is_primitive(perms: list[Perm], d: int) -> bool:
+    """Whether the group generated by ``perms`` acts primitively on 0..d-1.
+
+    A transitive group is primitive iff, for every ``b != 0``, the finest
+    invariant partition joining 0 and ``b`` is the whole set.  That
+    partition is a union-find closure: merge 0 and ``b``, then for every
+    merged pair ``(x, y)`` and every generator ``p`` merge ``p(x)`` and
+    ``p(y)`` (Atkinson's algorithm).
+    """
+    orbit = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for p in perms:
+            y = p(x)
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    if len(orbit) != d:
+        return False
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b in range(1, d):
+        parent = list(range(d))
+        parent[b] = 0
+        classes = d - 1
+        pairs = [(0, b)]
+        while pairs and classes > 1:
+            x, y = pairs.pop()
+            for p in perms:
+                u, v = find(p(x)), find(p(y))
+                if u != v:
+                    parent[u] = v
+                    classes -= 1
+                    pairs.append((u, v))
+        if classes > 1:
+            return False
+    return True
+
+
+def _generates_alternating(perms: list[Perm], d: int) -> bool:
+    """Whether even permutations ``perms`` of 0..d-1 generate all of A_d.
+
+    The alternating group is primitive, so an intransitive or imprimitive
+    set fails at once.  A primitive group that contains a 3-cycle contains
+    A_d (Jordan's theorem), so a primitive set with a 3-cycle among its
+    members succeeds.  Any other set falls back to listing the closure.
+    """
+    if not _is_primitive(perms, d):
+        return False
+    if any([len(c) for c in p.cycles()] == [3] for p in perms):
+        return True
+    import math
+
+    return len(perm_closure(perms)) == math.factorial(d) // 2
+
+
 def validate_gens(gens: tuple[tuple[str, Gen], ...], d: int) -> None:
     """Reject generating sets that the graph machinery cannot rely on.
 
     Checks: degrees and parities; first-letter permutations generate the
-    full even group; first-letter moves connect all letters and their
-    nonzero-to-nonzero restriction connects the nonzero letters; the
+    full even group, which is transitive, so their moves connect all
+    letters; their nonzero-to-nonzero restriction connects the nonzero
+    letters; the
     visible-pair moves (u,v) -> (rho(u), sigma_u(v)) connect the whole
     pair state space.
     """
@@ -614,25 +717,20 @@ def validate_gens(gens: tuple[tuple[str, Gen], ...], d: int) -> None:
         if is_identity_gen(g):
             raise ValueError(f"generator {name} is the identity")
         if isinstance(g, AGen):
+            if not g.pi.is_even():
+                raise ValueError(f"first-letter permutation of {name} must be even")
             a_roots.append(g.pi)
     if not a_roots:
         raise ValueError("need at least one first-letter generator")
-    closure = perm_closure(a_roots)
-    import math
-
-    if len(closure) != math.factorial(d) // 2:
+    if not _generates_alternating(a_roots, d):
         raise ValueError("first-letter permutations must generate the full even group")
-    letter_edges = []
     nonzero_edges = []
     for _, g in gens:
         if isinstance(g, AGen):
             for x in range(d):
                 y = g.pi(x)
-                letter_edges.append((x, y))
                 if x != 0 and y != 0:
                     nonzero_edges.append((x, y))
-    if not _connected(set(range(d)), letter_edges):
-        raise ValueError("first-letter moves do not connect the letters")
     if not _connected(set(range(1, d)), nonzero_edges):
         raise ValueError("first-letter moves do not connect the nonzero letters among themselves")
     pair_nodes = {(u, v) for u in range(1, d) for v in range(d)}

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -130,6 +133,48 @@ def test_b_inverse_roundtrip():
         assert g.inverse().apply(g.apply(w)) == w
     b = GENS["c2"]
     assert is_identity((b, b.inverse()))
+
+
+def gens_with_mixed(d):
+    """The default generators plus one ``B`` generator that moves the first
+    nonzero letter and has a different slot for each letter; no default
+    generator has both."""
+    slots = {i: Perm.from_cycles(d, (i - 1, i, i + 1) if i < d - 1 else (0, 2, i)) for i in range(1, d)}
+    return default_gens(d) + (("mixed", b_gen(Perm.from_cycles(d, (1, 2, 3)), slots)),)
+
+
+@pytest.mark.parametrize("d", [5, 8, 9])
+def test_cached_inverse_undoes_generator(d):
+    vertices = list(itertools.product(range(d), repeat=3))
+    for name, g in gens_with_mixed(d):
+        inv = g.inverse()
+        assert inv.inverse() is g and g.inverse() is inv, name
+        for v in vertices:
+            assert apply_word((g, inv), v) == v, (name, v)
+            assert apply_word((inv, g), v) == v, (name, v)
+
+
+@pytest.mark.parametrize("d", [5, 8, 9])
+def test_rebuilt_generator_equal_with_same_hash(d):
+    gens = [g for _, g in gens_with_mixed(d)]
+    gens += [g.inverse() for g in gens]
+    for g in gens:
+        h = gen_from_json(gen_to_json(g))
+        assert h is not g and h == g and hash(h) == hash(g)
+        assert {g: 1}[h] == 1
+    # the c* and b* generators differ only in their slots
+    assert len({hash(g) for g in gens}) == len(set(gens)) == len(gens)
+
+
+@pytest.mark.parametrize("d", [5, 8, 9])
+def test_cached_sections_match_slots(d):
+    for name, g in gens_with_mixed(d):
+        if isinstance(g, BGen):
+            assert g.section(0) is g
+            for x in range(1, d):
+                assert g.section(x) == a_gen(g.sigma(x)), (name, x)
+            with pytest.raises(ValueError):
+                g.section(d)
 
 
 def test_parity_validation():
@@ -289,6 +334,86 @@ def test_default_config_validates():
         cfg = Config.default(d=d)
         assert cfg.d == d
         validate_gens(cfg.gens, d)
+
+
+def test_validate_rejects_odd_first_letter_permutation():
+    gens = default_gens(5) + (("odd", AGen(Perm.from_cycles(5, (0, 1)))),)
+    with pytest.raises(ValueError, match="must be even"):
+        validate_gens(gens, 5)
+
+
+def _even_perm(rng, d, parts):
+    """A random even permutation of 0..d-1, not the identity, that maps
+    each of the disjoint sets ``parts`` onto itself."""
+    while True:
+        images = list(range(d))
+        for part in parts:
+            for x, y in zip(part, rng.sample(part, len(part))):
+                images[x] = y
+        p = Perm(tuple(images))
+        if p.is_even() and not p.is_identity():
+            return p
+
+
+def _block_perm(rng, d, size):
+    """A random even permutation of 0..d-1, not the identity, that maps the
+    blocks {0..size-1}, {size..2*size-1}, ... onto one another."""
+    n = d // size
+    while True:
+        order = rng.sample(range(n), n)
+        inner = [rng.sample(range(size), size) for _ in range(n)]
+        p = Perm(tuple(order[x // size] * size + inner[x // size][x % size] for x in range(d)))
+        if p.is_even() and not p.is_identity():
+            return p
+
+
+def test_generation_verdict_matches_sympy_order():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(0xA1)
+    verdicts = set()
+    for trial in range(120):
+        d = 5 + trial % 3
+        shape = rng.choice(("free", "intransitive", "three-cycles") + (("imprimitive",) if d == 6 else ()))
+        k = rng.randint(1, 3)
+        if shape == "free":
+            perms = [_even_perm(rng, d, [range(d)]) for _ in range(k)]
+        elif shape == "intransitive":
+            cut = rng.randrange(2, d - 1)
+            perms = [_even_perm(rng, d, [range(cut), range(cut, d)]) for _ in range(k)]
+        elif shape == "imprimitive":
+            size = rng.choice((2, 3))
+            perms = [_block_perm(rng, d, size) for _ in range(k)]
+        else:
+            perms = [Perm.from_cycles(d, tuple(rng.sample(range(d), 3))) for _ in range(k)]
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p.images)) for p in perms])
+        expected = group.order() == math.factorial(d) // 2
+        gens = tuple((f"a{i}", a_gen(p)) for i, p in enumerate(perms))
+        gens += tuple((n, g) for n, g in default_gens(d) if isinstance(g, BGen))
+        try:
+            validate_gens(gens, d)
+            generates = True
+        except ValueError as exc:
+            generates = "full even group" not in str(exc)
+        assert generates == expected, (d, shape, perms)
+        verdicts.add((shape, expected))
+    assert {
+        ("free", True),
+        ("free", False),
+        ("intransitive", False),
+        ("imprimitive", False),
+        ("three-cycles", True),
+        ("three-cycles", False),
+    } <= verdicts
+
+
+def test_default_config_at_degrees_9_and_10():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for d in (9, 10):
+        t = time.perf_counter()
+        cfg = Config.default(d)
+        assert time.perf_counter() - t < 5.0
+        roots = [combinatorics.Permutation(list(g.pi.images)) for _, g in cfg.gens if isinstance(g, AGen)]
+        assert combinatorics.PermutationGroup(roots).order() == math.factorial(d) // 2
 
 
 def test_validate_rejects_thin_sets():

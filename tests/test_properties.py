@@ -1,4 +1,4 @@
-"""Hypothesis properties of the point action and of clopen images.
+"""Hypothesis properties of the word algebra, the point action and clopen sets.
 
 Words act as composed functions, the rightmost letter first, so the word
 ``u + v`` acts as ``u`` after ``v``.  Strategies stay small (short words,
@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from alttree.core import Config, inverse_word  # noqa: E402
+from alttree.core import Config, equals, inverse_word, reduce_word  # noqa: E402
 from alttree.diagram import clopen, encode, image_of_clopen  # noqa: E402
 from alttree.points import act, periodic_point, zero_pair_point  # noqa: E402
 
@@ -22,6 +22,8 @@ POOL = [g for _, g in CFG.gens] + [g.inverse() for _, g in CFG.gens]
 letters = st.integers(0, D - 1)
 nonzero = st.integers(1, D - 1)
 words = st.lists(st.sampled_from(POOL), max_size=4).map(tuple)
+# the first-letter 3-cycles: g^3 = 1 holds exactly but free reduction misses it
+CUBES = [(g, g, g) for name, g in CFG.gens if name.startswith("a")]
 prefixes = st.lists(letters, max_size=4).map(tuple)
 periodic = st.builds(
     periodic_point,
@@ -52,3 +54,43 @@ def test_image_of_clopen_preserves_boolean_operations(w, U, V):
     assert image_of_clopen(w, U.union(V)) == iU.union(iV)
     assert image_of_clopen(w, U.intersect(V)) == iU.intersect(iV)
     assert image_of_clopen(w, U.complement()) == iU.complement()
+
+
+@PROPERTY
+@given(words)
+def test_word_times_inverse_reduces_to_empty(w):
+    assert reduce_word(w + inverse_word(w)) == ()
+
+
+@PROPERTY
+@given(
+    words,
+    st.one_of(
+        words.map(lambda x: ("free", x)),
+        st.sampled_from(CUBES).map(lambda x: ("cube", x)),
+        words.map(lambda x: ("other", x)),
+    ),
+    st.integers(0, 4),
+    st.lists(points, min_size=1, max_size=4),
+)
+def test_equals_agrees_with_action(u, insert, k, pts):
+    # v is u with a trivial word (x x^-1 or a cube) spliced in, or unrelated
+    how, x = insert
+    k = min(k, len(u))
+    v = x if how == "other" else u[:k] + x + (inverse_word(x) if how == "free" else ()) + u[k:]
+    same = equals(u, v)
+    if how != "other":
+        assert same
+    if same:
+        for p in pts:
+            assert act(u, p) == act(v, p)
+
+
+@PROPERTY
+@given(clopens, clopens, st.lists(points, min_size=1, max_size=6))
+def test_clopen_boolean_laws_against_membership(U, V, pts):
+    union, meet, comp = U.union(V), U.intersect(V), U.complement()
+    for p in pts:
+        assert union.member(p) == (U.member(p) or V.member(p))
+        assert meet.member(p) == (U.member(p) and V.member(p))
+        assert comp.member(p) == (not U.member(p))
