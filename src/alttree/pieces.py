@@ -99,12 +99,6 @@ class LevelGraph:
             i //= self.d
         return tuple(reversed(out))
 
-    def index_of(self, w: tuple[int, ...]) -> int:
-        i = 0
-        for x in w:
-            i = i * self.d + x
-        return i
-
     @property
     def size(self) -> int:
         return self.d**self.n
@@ -230,7 +224,6 @@ class GrayPiece:
     _codes: dict = field(default_factory=dict, repr=False)
     _points: list | None = field(default=None, repr=False)
     _pair_slots: list = field(default_factory=list, repr=False)
-    _index: dict | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -243,9 +236,9 @@ class GrayPiece:
     def fiber(self, i: int) -> int:
         return self.verts[i][0]
 
-    def annotation(self, i: int, relative_to: int | None = None) -> tuple:
+    def annotation(self, i: int) -> tuple:
         k, letters = self.verts[i]
-        base = self.verts[relative_to if relative_to is not None else self.basepoint][0]
+        base = self.verts[self.basepoint][0]
         iu, iv = self._pair_slots[k - self.lo]
         return (k - base, letters[0], letters[iu], letters[iv])
 
@@ -372,17 +365,6 @@ class GrayPiece:
     def points(self) -> list[TildePoint]:
         return [self.point_of(i) for i in range(self.size)]
 
-    def locate(self, q: TildePoint) -> int:
-        """Vertex index of a point lying over this piece's window."""
-        if self._index is None:
-            self._index = {state: i for i, state in enumerate(self.verts)}
-        gw = gray_projection(q)
-        k = self.segment.index(gw) + self.lo
-        letters = [q.letter(pos) for pos in self.slots]
-        if self.has_pair:
-            letters += [q.tail.a, q.tail.b]
-        return self._index[(k, tuple(letters))]
-
     def s0_edges(self, cfg: Config) -> list[tuple[int, str, int]]:
         """Edges induced by the named generators (and their inverses, named
         with a trailing '-'); -1 targets mean the generator leaves the piece."""
@@ -429,20 +411,6 @@ class GrayPiece:
                     seen.add(t)
                     stack.append(t)
         return sorted(seen)
-
-    def ball(self, radius: int, start: int | None = None) -> list[int]:
-        start = self.basepoint if start is None else start
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            if dist[v] == radius:
-                continue
-            for t in self.adj[v]:
-                if t >= 0 and t not in dist:
-                    dist[t] = dist[v] + 1
-                    queue.append(t)
-        return sorted(dist)
 
 
 def _label_id(d: int, lab: tuple) -> int:
@@ -806,34 +774,6 @@ class _Window:
         return np.concatenate(blocks), np.concatenate(layers)
 
 
-def _rerooted_code(rows: np.ndarray, root: int) -> bytes:
-    """Code of the piece held in ``rows`` as seen from vertex ``root``.
-
-    The breadth-first walk from ``root`` in label order gives each vertex
-    the number a build from ``root`` would give it.  A layer's targets lie in
-    that layer and its two neighbours, so each layer's rows are renumbered
-    and hashed once the next layer is numbered.  The fiber column needs no
-    shift as long as ``root`` lies over the table's fiber 0."""
-    rank = np.full(len(rows) + 1, -1, dtype=np.int32)  # rank[-1] stays -1 for "no edge"
-    rank[root] = 0
-    seen = 1
-    h = hashlib.sha256()
-    layer = np.array([root])
-    while layer.size:
-        block = rows[layer]
-        targets = block[:, 4:]
-        t = targets.ravel()
-        t = t[t >= 0]
-        t = t[rank[t] < 0]
-        _, first = np.unique(t, return_index=True)
-        layer = t[np.sort(first)]
-        rank[layer] = np.arange(seen, seen + layer.size, dtype=np.int32)
-        seen += layer.size
-        targets[:] = rank[targets]
-        h.update(block)
-    return h.digest()
-
-
 def _mix(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fold the int64 column ``x`` into the 64-bit hashes ``h``, in place:
     ``h`` goes through a bijective scramble, then ``x`` is added."""
@@ -906,7 +846,7 @@ def _bisimulation_classes(pieces: list[np.ndarray], lo: int, d: int) -> np.ndarr
     return colour
 
 
-def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int | bytes]:
+def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int] | list[bytes]:
     """One key per point; two points share a key exactly when their
     ``piece_code(q, lo, hi)`` are equal.
 
@@ -914,51 +854,42 @@ def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int | bytes
     of them holds the state of every other one it reaches; a point whose
     state the piece does not hold starts a new piece.  Every point lies over
     its window's fiber 0, so its code is the canonical form of its pointed
-    piece.  When every piece is minimal -- no two of its vertices bisimilar --
-    two pointed pieces are isomorphic exactly when their points are
-    bisimilar in the union of the round's pieces, and a point's key is its
-    class there (an int).  A point of a non-minimal piece keys by its code
-    (bytes, never equal to an int): such a piece is isomorphic to no minimal
-    one.  If a window is too wide to pack or the classes cannot be
-    confirmed, every point keys by its code."""
-    keys: list = [None] * len(points)
+    piece.  Every piece is minimal -- no two of its vertices are bisimilar:
+    a move writes only letters in view (``x1``, or the visible pair at the
+    current fiber), and moves can be undone, so from any vertex a walk
+    reaches every fiber of its piece, and along it the annotation shows each
+    letter before the walk can change it (a letter never in view is the same
+    at every vertex).  So two bisimilar vertices of one piece have the same
+    (fiber, letters) state, which makes them the same vertex, and two pointed
+    pieces are isomorphic exactly when their points are bisimilar in the
+    union of the round's pieces: a point's key is its class there.  If a
+    window is too wide to pack or the classes cannot be confirmed, every
+    point of the round keys by its code."""
     fibers: dict[GrayWord, list[int]] = {}
     for i, q in enumerate(points):
         fibers.setdefault(gray_projection(q), []).append(i)
-    pieces = []  # (rows, point indices, their vertices)
+    pieces = []
+    where = np.empty(len(points), dtype=np.int64)  # each point's vertex in the union of the pieces
+    size = 0
     for members in fibers.values():
         win = _Window(points[members[0]], lo, hi)
         if not win.fits():
-            for i in members:
-                keys[i] = piece_code(points[i], lo, hi)
-            continue
+            return [piece_code(q, lo, hi) for q in points]
+        todo = np.array(members)
         states = np.array([win.state(points[i]) for i in members], dtype=np.int64)
-        todo = np.arange(len(members))
         while todo.size:
-            rows, table = win.rows(int(states[todo[0]]), _PIECE_CAP)
+            rows, table = win.rows(int(states[0]), _PIECE_CAP)
             order = np.argsort(table)
-            at = order[np.minimum(np.searchsorted(table, states[todo], sorter=order), table.size - 1)]
-            held = table[at] == states[todo]
-            pieces.append((rows, [members[j] for j in todo[held].tolist()], at[held].tolist()))
-            todo = todo[~held]
-    classes = None
-    if pieces and all(k is None for k in keys):
-        classes = _bisimulation_classes([rows for rows, _, _ in pieces], lo, points[0].d)
-    start = 0
-    for rows, idx, verts in pieces:
-        own = None if classes is None else classes[start : start + len(rows)]
-        start += len(rows)
-        if own is not None and np.unique(own).size == len(rows):
-            for i, v in zip(idx, verts):
-                keys[i] = int(own[v])
-            continue
-        traced = {0: hashlib.sha256(rows).digest()}  # codes by vertex
-        for i, v in zip(idx, verts):
-            code = traced.get(v)
-            if code is None:
-                code = traced[v] = _rerooted_code(rows, v)
-            keys[i] = code
-    return keys
+            at = order[np.minimum(np.searchsorted(table, states, sorter=order), table.size - 1)]
+            held = table[at] == states
+            where[todo[held]] = size + at[held]
+            size += len(rows)
+            pieces.append(rows)
+            todo, states = todo[~held], states[~held]
+    classes = _bisimulation_classes(pieces, lo, points[0].d) if pieces else None
+    if classes is None:
+        return [piece_code(q, lo, hi) for q in points]
+    return classes[where].tolist()
 
 
 def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> bytes:
@@ -1006,7 +937,7 @@ def _ball_separation_radius(ball: list[TildePoint], bound: int, start: int) -> t
     groups = [ball]
     while True:
         points = [q for group in groups for q in group]
-        buckets: dict[int | bytes, list[TildePoint]] = {}
+        buckets: dict[int, list[TildePoint]] | dict[bytes, list[TildePoint]] = {}
         for q, key in zip(points, _window_keys(points, -n, n)):
             buckets.setdefault(key, []).append(q)
         groups = [g for g in buckets.values() if len(g) > 1]

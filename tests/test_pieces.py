@@ -35,6 +35,7 @@ from alttree.pieces import (
     piece_to_dot,
     piece_to_json,
     schreier_ball,
+    schreier_neighbors,
     segment_roots,
 )
 from alttree.points import (
@@ -595,9 +596,61 @@ def test_window_keys_shared_exactly_when_piece_codes_equal():
         assert len({gray_projection(q) for q in points}) < len(points)
         for n in ns:
             keys = _window_keys(points, -n, n)
-            # every piece here is minimal, so every key is a class
+            # every round here packs and confirms its partition, so every key is a class
             assert all(isinstance(k, int) for k in keys), (d, n)
             assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), (d, n)
+
+
+def _moore_class_count(piece: GrayPiece) -> int:
+    """Classes of the coarsest partition of the piece's vertices that refines
+    the annotations and is stable under every label, by naive Moore
+    refinement: each round splits classes by the classes of the targets."""
+    colour = [piece.annotation(i) for i in range(piece.size)]
+    count = len(set(colour))
+    while True:
+        colour = [
+            (colour[i], tuple(None if t < 0 else colour[t] for t in piece.adj[i]))
+            for i in range(piece.size)
+        ]
+        ids: dict = {}
+        colour = [ids.setdefault(c, len(ids)) for c in colour]
+        if len(ids) == count:
+            return count
+        count = len(ids)
+
+
+def test_every_piece_is_minimal():
+    # _window_keys keys a point by its bisimulation class because no two
+    # vertices of a piece are bisimilar.  This oracle shares no code with
+    # _bisimulation_classes: it refines the two-pass build's annotations and
+    # adjacency in pure Python.
+    rng = random.Random("minimal")
+    cases = [(sample_point(rng, 5, max_prefix=4, max_period=2), 2) for _ in range(6)]
+    for d, texts in ((8, ("7(1)", "3332[74]", "000[57]")), (9, ("8(1)", "3332[84]", "000[58]"))):
+        cases += [(parse_point(text, d), 1) for text in texts]
+    for p, n in cases:
+        piece = GrayPiece.build(p, -n, n)
+        assert _moore_class_count(piece) == piece.size, (p, n)
+
+
+def test_point_and_packed_move_rules_agree():
+    # The move rule has two sources: schreier_neighbors on points and the
+    # packed arithmetic of _Window.rows.  Every neighbour of a sampled point
+    # lies within one fiber of it, so in the window [-1, 1]; packed as a
+    # (fiber, letters) state, the neighbours in label order must be the
+    # packed row-0 targets, at every bit width of a letter.
+    for d in (5, 8, 9):
+        rng = random.Random(f"move-rule:{d}")
+        for _ in range(20):
+            q = sample_point(rng, d, max_prefix=4, max_period=2)
+            win = _Window(q, -1, 1)
+            low = (1 << win.shift) - 1
+            packed = [
+                (win.segment.index(gray_projection(t)) << win.shift) | (win.state(t) & low)
+                for t in schreier_neighbors(q)
+            ]
+            rows, states = win.rows(win.state(q), pieces_mod._PIECE_CAP)
+            assert packed == [int(states[t]) for t in rows[0, 4:] if t >= 0], (d, q)
 
 
 def _toy_pieces() -> list:
@@ -617,30 +670,6 @@ def test_bisimulation_classes_find_non_minimal_pieces():
     classes = pieces_mod._bisimulation_classes(_toy_pieces(), 0, 5).tolist()
     assert classes[0] == classes[1] == classes[2]
     assert len(set(classes[3:])) == 2 and classes[0] not in classes[3:]
-
-
-def test_non_minimal_piece_points_keep_their_codes(monkeypatch):
-    # Stub the refinement so that the first piece's vertices all share one
-    # class.  That piece then fails the minimality check: its points must key
-    # by their own codes, and the partition must not change.
-    points = _shared_inputs(5, 2, 1)
-    real = pieces_mod._bisimulation_classes
-    sizes = []
-
-    def merged(blocks, lo, d):
-        classes = real(blocks, lo, d)
-        sizes.append(len(blocks[0]))
-        classes[: len(blocks[0])] = classes[0]
-        return classes
-
-    monkeypatch.setattr(pieces_mod, "_bisimulation_classes", merged)
-    codes = [piece_code(q, -2, 2) for q in points]
-    keys = _window_keys(points, -2, 2)
-    assert sizes and sizes[0] > 1
-    coded = [i for i, k in enumerate(keys) if isinstance(k, bytes)]
-    assert 0 < len(coded) < len(points)
-    assert all(keys[i] == codes[i] for i in coded)
-    assert _partition(keys) == _partition(codes)
 
 
 def test_hash_collisions_fall_back_to_codes(monkeypatch):

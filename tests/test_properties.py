@@ -57,6 +57,14 @@ def test_image_of_clopen_preserves_boolean_operations(w, U, V):
 
 
 @PROPERTY
+@given(words, clopens)
+def test_image_of_clopen_is_a_bijection(w, C):
+    image = image_of_clopen(w, C)
+    assert image_of_clopen(inverse_word(w), image) == C
+    assert image_of_clopen(w, C.complement()) == image.complement()
+
+
+@PROPERTY
 @given(words)
 def test_word_times_inverse_reduces_to_empty(w):
     assert reduce_word(w + inverse_word(w)) == ()
