@@ -235,17 +235,6 @@ def _sort_key(p: PathPrefix):
 # encoding points as paths
 
 
-def _letters_fast(p: TildePoint, n: int) -> tuple[int, ...]:
-    pre = p.prefix
-    if len(pre) >= n:
-        return pre[:n]
-    if isinstance(p.tail, ZeroPair):
-        return pre + (0,) * (n - len(pre))
-    per = p.tail.word
-    q, r = divmod(n - len(pre), len(per))
-    return pre + per * q + per[:r]
-
-
 def _next_visible(p: TildePoint, n: int) -> tuple[int, int]:
     """First nonzero letter strictly after position ``n`` and its
     follower; doubled points fall back to the formal pair."""
@@ -271,7 +260,7 @@ def encode(p: TildePoint, depth: int) -> PathPrefix:
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return PathPrefix(p.d, (), None)
-    labels = _letters_fast(p, depth)
+    labels = p.letters(depth)
     a, b = _next_visible(p, depth)
     flag = 1 if p.letter(depth + 1) != 0 else 0
     return PathPrefix(p.d, labels, (a, b, flag))
@@ -315,7 +304,7 @@ def cylinder_member(eta: PathPrefix, p: TildePoint) -> bool:
     if eta.end is None:
         return True
     n = len(eta.labels)
-    if _letters_fast(p, n) != eta.labels:
+    if p.letters(n) != eta.labels:
         return False
     a, b, flag = eta.end
     if flag:

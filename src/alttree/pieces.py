@@ -15,6 +15,14 @@ finite.  Pieces get canonical byte codes (deterministic BFS in fixed label
 order); code equality is exactly pointed label-preserving isomorphism of
 the underlying labelled graphs.
 
+The moves have two implementations.  ``GrayPiece.build`` steps letter
+tuples; it is the reference, and the path for windows too wide to pack.
+``_Window.layers`` walks packed states one breadth-first layer at a time
+with array arithmetic; it gives piece codes, the keys ``find_n0`` compares
+and Schreier balls.  A move changes the fiber by at most one, so the ball
+of radius R around a point is the first R + 1 layers of its piece over the
+window [-R, R].
+
 The module also computes marginal subpieces, branch counts, quasi-level
 detection, and the separation constant ``n0``: the piece radius at which
 every point within graph distance R of a basepoint is distinguished from
@@ -26,7 +34,9 @@ from __future__ import annotations
 import hashlib
 from array import array
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -56,7 +66,6 @@ __all__ = [
     "SEPARATION_RADIUS",
     "piece_code",
     "schreier_ball",
-    "schreier_neighbors",
     "descriptor_labels",
     "piece_to_dot",
     "piece_to_json",
@@ -68,7 +77,7 @@ __all__ = [
 # (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
 # distinct points in every ball, radius 5 does not.  The audit reports
 # n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
-# replay collision; it takes about 15 s on a 2-vCPU host (Python 3.11,
+# replay collision; it takes about 9 s on a 2-vCPU host (Python 3.11,
 # numpy 2.4):
 #
 #   cfg = Config.default(5)
@@ -128,25 +137,9 @@ class LevelGraph:
     def automorphism_count(self) -> int:
         """Label-preserving graph automorphisms (they are determined by the
         image of one vertex, since the labelled moves are deterministic)."""
-        base = self._trace(0)
-        return sum(1 for v in range(self.size) if self._trace(v) == base)
-
-    def _trace(self, start: int) -> bytes:
-        order = {start: 0}
-        queue = deque([start])
-        rows = [self.adj[name] for name in self.names]
-        out = []
-        while queue:
-            v = queue.popleft()
-            row_out = []
-            for row in rows:
-                w = row[v]
-                if w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
-                row_out.append(order[w])
-            out.append(tuple(row_out))
-        return repr(out).encode()
+        adj = list(zip(*(self.adj[name] for name in self.names)))
+        traces = [_bfs_trace(v, adj, lambda v: []) for v in range(self.size)]
+        return traces.count(traces[0])
 
 
 def level_graph(cfg: Config, n: int, cap: int = 6) -> LevelGraph:
@@ -223,7 +216,7 @@ class GrayPiece:
     origin: TildePoint
     _codes: dict = field(default_factory=dict, repr=False)
     _points: list | None = field(default=None, repr=False)
-    _pair_slots: list = field(default_factory=list, repr=False)
+    _window: _Window | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -239,7 +232,7 @@ class GrayPiece:
     def annotation(self, i: int) -> tuple:
         k, letters = self.verts[i]
         base = self.verts[self.basepoint][0]
-        iu, iv = self._pair_slots[k - self.lo]
+        iu, iv = self._window.pair_slots[k - self.lo]
         return (k - base, letters[0], letters[iu], letters[iv])
 
     # -- construction ------------------------------------------------------
@@ -332,7 +325,7 @@ class GrayPiece:
                             raise ResourceCap(f"piece exceeded {cap} vertices")
                     append(ti)
             adj.append(tuple(row))
-        piece = GrayPiece(
+        return GrayPiece(
             d=d,
             lo=lo,
             hi=hi,
@@ -343,9 +336,8 @@ class GrayPiece:
             adj=adj,
             basepoint=0,
             origin=p,
+            _window=win,
         )
-        piece._pair_slots = pair_slots
-        return piece
 
     # -- materialization ---------------------------------------------------
 
@@ -355,11 +347,7 @@ class GrayPiece:
         cached = self._points[i]
         if cached is not None:
             return cached
-        k, letters = self.verts[i]
-        changes = {pos: letters[j] for j, pos in enumerate(self.slots)}
-        pair = (letters[-2], letters[-1]) if self.has_pair else None
-        pt = with_letters(self.origin, changes, pair=pair)
-        self._points[i] = pt
+        pt = self._points[i] = self._window.point(self.origin, self.verts[i][1])
         return pt
 
     def points(self) -> list[TildePoint]:
@@ -373,7 +361,7 @@ class GrayPiece:
             g = word[0]
             for i in range(self.size):
                 k, letters = self.verts[i]
-                iu, iv = self._pair_slots[k - self.lo]
+                iu, iv = self._window.pair_slots[k - self.lo]
                 if isinstance(g, AGen):
                     c = g.pi(letters[0])
                     lab = ("A", c) if c != letters[0] else None
@@ -394,10 +382,10 @@ class GrayPiece:
     def code(self, base: int | None = None, with_fibers: bool = True) -> bytes:
         if base is None:
             base = self.basepoint
-        key = (base, with_fibers, self.lo, self.hi)
+        key = (base, with_fibers)
         got = self._codes.get(key)
         if got is None:
-            got = _trace_code(self, base, self.lo, self.hi, with_fibers)
+            got = _trace_code(self, base, with_fibers)
             self._codes[key] = got
         return got
 
@@ -420,34 +408,46 @@ def _label_id(d: int, lab: tuple) -> int:
     return d + (u - 1) * d + v
 
 
-def _trace_code(piece: GrayPiece, start: int, lo: int, hi: int, with_fibers: bool) -> bytes:
-    """Digest of the breadth-first trace of the sub-piece of ``start`` over
-    the fiber window [lo, hi].
+def _trace_code(piece: GrayPiece, start: int, with_fibers: bool) -> bytes:
+    """Digest of the breadth-first trace of the piece from ``start``.
 
-    Each visited vertex contributes its annotation (fiber offset, first
-    letter, visible pair) followed by the breadth-first renumbering of its
-    target row, so the digest is a canonical form: two pieces get the same
-    digest exactly when they are isomorphic as pointed labelled graphs
-    (every label has at most one target, so the traversal order is forced).
-    Rows are hashed as fixed-width int32 words; hashing keeps codes at 32
-    bytes however large the piece grows."""
+    Each vertex is annotated by its fiber offset from ``start`` (0 without
+    fibers), first letter and visible pair, so by ``_bfs_trace`` the digest
+    is a canonical form: two pieces get the same digest exactly when they
+    are isomorphic as pointed labelled graphs."""
     verts = piece.verts
-    adj = piece.adj
-    pair_slots = piece._pair_slots
+    pair_slots = piece._window.pair_slots
     plo = piece.lo
     base_fiber = verts[start][0]
+
+    def annotation(vi: int) -> list[int]:
+        k, letters = verts[vi]
+        iu, iv = pair_slots[k - plo]
+        return [k - base_fiber if with_fibers else 0, letters[0], letters[iu], letters[iv]]
+
+    return _bfs_trace(start, piece.adj, annotation)
+
+
+def _bfs_trace(start: int, adj, annotation) -> bytes:
+    """Digest of the breadth-first trace from ``start`` of a graph with
+    target rows ``adj[v]`` (one target per label, -1 for none).
+
+    Each visited vertex contributes ``annotation(v)`` followed by the
+    breadth-first renumbering of its target row.  Every label has at most
+    one target, so the traversal order is forced and the digest is a
+    canonical form of the pointed labelled graph with its annotations.
+    Rows are hashed as fixed-width int32 words; hashing keeps the digest at
+    32 bytes however large the graph grows."""
     order = {start: 0}
     order_get = order.get
     queue = deque([start])
     h = hashlib.sha256()
     update = h.update
     while queue:
-        vi = queue.popleft()
-        k, letters = verts[vi]
-        iu, iv = pair_slots[k - plo]
-        row = [k - base_fiber if with_fibers else 0, letters[0], letters[iu], letters[iv]]
-        for t in adj[vi]:
-            if t < 0 or not lo <= verts[t][0] <= hi:
+        v = queue.popleft()
+        row = annotation(v)
+        for t in adj[v]:
+            if t < 0:
                 row.append(-1)
                 continue
             got = order_get(t)
@@ -576,54 +576,6 @@ def is_quasi_level(piece: GrayPiece) -> int | None:
 # the separation constant
 
 
-def schreier_neighbors(q: TildePoint) -> list[TildePoint]:
-    """All points one move away from ``q``: any first-letter change, or any
-    change of the visible pair (the first nonzero letter and its follower,
-    the formal pair for all-zero points)."""
-    d = q.d
-    out = []
-    x1 = q.letter(1)
-    for c in range(d):
-        if c != x1:
-            out.append(with_letters(q, {1: c}))
-    j = None
-    horizon = len(q.prefix) + (1 if isinstance(q.tail, ZeroPair) else len(q.tail.word))
-    for i in range(1, horizon + 1):
-        if q.letter(i) != 0:
-            j = i
-            break
-    if j is None:
-        u0, v0 = q.tail.a, q.tail.b
-        for u in range(1, d):
-            for v in range(d):
-                if (u, v) != (u0, v0):
-                    out.append(with_letters(q, {}, pair=(u, v)))
-    else:
-        u0, v0 = q.letter(j), q.letter(j + 1)
-        for u in range(1, d):
-            for v in range(d):
-                if (u, v) != (u0, v0):
-                    out.append(with_letters(q, {j: u, j + 1: v}))
-    return out
-
-
-def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
-    """Points within graph distance ``radius`` of ``p``, breadth-first."""
-    dist = {p: 0}
-    order = [p]
-    queue = deque([p])
-    while queue:
-        q = queue.popleft()
-        if dist[q] == radius:
-            continue
-        for t in schreier_neighbors(q):
-            if t not in dist:
-                dist[t] = dist[q] + 1
-                order.append(t)
-                queue.append(t)
-    return order
-
-
 _PIECE_CAP = 2_000_000  # vertices per packed piece
 
 
@@ -650,9 +602,10 @@ class _Window:
         self.d, self.lo, self.hi = p.d, lo, hi
         self.bits = (p.d - 1).bit_length()
         self.shift = self.bits * (nfin + (2 if self.has_pair else 0))
+        self.width = self.shift + (hi - lo + 1).bit_length()  # bits of a packed state
 
     def fits(self) -> bool:
-        return self.shift + (self.hi - self.lo + 1).bit_length() <= 62
+        return self.width <= 62
 
     def letters(self, q: TildePoint) -> tuple[int, ...]:
         """Letters of a point over the window's center word at the slots,
@@ -671,16 +624,38 @@ class _Window:
             packed |= x << (self.bits * i)
         return (-self.lo << self.shift) | packed
 
+    def point(self, p: TildePoint, letters: tuple[int, ...]) -> TildePoint:
+        """The point that has ``letters`` at the window's slots (and formal
+        pair) and agrees with ``p`` everywhere else."""
+        pair = letters[-2:] if self.has_pair else None
+        return with_letters(p, dict(zip(self.slots, letters)), pair=pair)
+
+    def unpack(self, states: np.ndarray) -> list[tuple[int, ...]]:
+        """The letters of each packed state, in the order ``letters`` gives."""
+        mask = (1 << self.bits) - 1
+        cols = [((states >> (self.bits * i)) & mask).tolist() for i in range(self.shift // self.bits)]
+        return list(zip(*cols))
+
     def rows(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
         """The piece of packed state ``start`` as (rows, states): row i is the
         int32 trace row ``[fiber, x1, u, v, target per label]`` of the i-th
         vertex in breadth-first order from ``start``, and states[i] is its
-        packed state.  More than ``cap`` vertices raise ``ResourceCap``.
+        packed state.  More than ``cap`` vertices raise ``ResourceCap``."""
+        walk = list(self.layers(start, cap))
+        return np.concatenate([rows for _, rows in walk[1:]]), np.concatenate([states for states, _ in walk])
 
-        The walk goes one breadth-first layer at a time, successor states by
-        array arithmetic.  Vertices get the numbers ``GrayPiece.build`` gives
-        them, because edge targets are laid out parent-major, label-minor
-        before the first-occurrence scan."""
+    def layers(self, start: int, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Walk the piece of packed state ``start`` one breadth-first layer at
+        a time.  Each step yields (states, rows): the packed states of the
+        next layer, and the trace rows (see ``rows``) of the layer before it,
+        None at the first step.  The last step yields no states.  A layer is
+        expanded only when the walk is resumed after it, so a caller that
+        stops early walks no further.  More than ``cap`` vertices raise
+        ``ResourceCap``.
+
+        Successor states come by array arithmetic.  Vertices get the numbers
+        ``GrayPiece.build`` gives them, because edge targets are laid out
+        parent-major, label-minor before the first-occurrence scan."""
         d, lo, hi = self.d, self.lo, self.hi
         bits, shift = self.bits, self.shift
         mask = (1 << bits) - 1
@@ -704,13 +679,14 @@ class _Window:
         vis_sorted = np.array([start], dtype=np.int64)
         vis_ids = np.array([0], dtype=np.int64)
         layer = np.array([start], dtype=np.int64)  # current layer, in id order
-        layers = []
-        blocks = []
+        rows = None
         next_id = 1
         low_mask = (1 << shift) - 1
 
-        while layer.size:
-            layers.append(layer)
+        while True:
+            yield layer, rows
+            if not layer.size:
+                return
             n = layer.size
             ko = layer >> shift
             low = layer & low_mask
@@ -770,8 +746,24 @@ class _Window:
             rows[:, 2] = u
             rows[:, 3] = v
             rows[:, 4:] = tgt_ids.reshape(n, -1)
-            blocks.append(rows)
-        return np.concatenate(blocks), np.concatenate(layers)
+
+
+def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
+    """Points within graph distance ``radius`` of ``p``, breadth-first, each
+    point's neighbours in descriptor-label order.
+
+    A move changes the fiber by at most one, so no path of ``radius`` moves
+    leaves the fibers -radius..radius: the ball is the first ``radius + 1``
+    breadth-first layers of the piece of ``p`` over that window.  The packed
+    walk stops after them, and each state becomes a point by
+    ``_Window.point``, the map ``GrayPiece.point_of`` uses.  A window too
+    wide to pack raises ``ResourceCap`` before any walk."""
+    win = _Window(p, -radius, radius)
+    if not win.fits():
+        raise ResourceCap(f"a radius-{radius} ball needs {win.width}-bit packed states; at most 62 fit")
+    walk = islice(win.layers(win.state(p), _PIECE_CAP), radius + 1)
+    states = np.concatenate([layer for layer, _ in walk])
+    return [win.point(p, letters) for letters in win.unpack(states)]
 
 
 def _mix(h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -897,10 +889,10 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
 
     The trace in _trace_code renumbers vertices by a breadth-first walk from
     the basepoint in label order -- exactly the order in which build discovers
-    them -- so over the full window from the basepoint the renumbering is the
-    identity and the digest is the hash of the packed walk's rows.  Byte-for-
-    byte equality with the two-pass route is pinned by a test.  Windows too
-    wide to pack states into machine ints fall back to the two-pass route.
+    them -- so from the basepoint the renumbering is the identity and the
+    digest is the hash of the packed walk's rows.  Byte-for-byte equality
+    with the two-pass route is pinned by a test.  Windows too wide to pack
+    states into machine ints fall back to the two-pass route.
 
     A piece is determined by the window's Gray words together with the
     letters of ``q`` at the window's visible positions (plus the formal pair
@@ -1024,11 +1016,12 @@ def find_n0(
 ) -> dict:
     """Smallest piece radius n such that around every sampled basepoint all
     distinct points within graph distance ``radius`` have pairwise distinct
-    central pieces of radius n.  The replay pass re-keys the balls the
-    search built at the final value in one sweep.  Both passes key a ball's
-    points with ``_window_keys``: a piece is built once per Gray fiber, not
-    once per point, and one partition refinement over a round's pieces
-    decides which points have equal ``piece_code``."""
+    central pieces of radius n.  Each ball is built once, by the packed
+    walk of ``schreier_ball``; the replay pass re-keys the balls the search
+    built at the final value in one sweep.  Both passes key a ball's points
+    with ``_window_keys``: a piece is built once per Gray fiber, not once per
+    point, and one partition refinement over a round's pieces decides which
+    points have equal ``piece_code``."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
     uniq = list(dict.fromkeys(points))
     n0 = 1

@@ -127,7 +127,15 @@ class TildePoint:
         return per[(i - len(self.prefix)) % len(per)]
 
     def letters(self, n: int) -> tuple[int, ...]:
-        return tuple(self.letter(i) for i in range(1, n + 1))
+        """The first ``n`` letters."""
+        pre = self.prefix
+        if n <= len(pre):
+            return pre[:n] if n > 0 else ()
+        if isinstance(self.tail, ZeroPair):
+            return pre + (0,) * (n - len(pre))
+        per = self.tail.word
+        q, r = divmod(n - len(pre), len(per))
+        return pre + per * q + per[:r]
 
     def pair(self) -> tuple[int, int] | None:
         return (self.tail.a, self.tail.b) if isinstance(self.tail, ZeroPair) else None

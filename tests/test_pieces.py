@@ -10,6 +10,7 @@ recovered, not assumed.
 
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from alttree.pieces import (
     piece_to_dot,
     piece_to_json,
     schreier_ball,
-    schreier_neighbors,
     segment_roots,
 )
 from alttree.points import (
@@ -47,6 +47,7 @@ from alttree.points import (
     gray_projection,
     gray_segment,
     parse_point,
+    periodic_point,
     visible_positions,
     with_letters,
 )
@@ -633,24 +634,84 @@ def test_every_piece_is_minimal():
         assert _moore_class_count(piece) == piece.size, (p, n)
 
 
-def test_point_and_packed_move_rules_agree():
-    # The move rule has two sources: schreier_neighbors on points and the
-    # packed arithmetic of _Window.rows.  Every neighbour of a sampled point
-    # lies within one fiber of it, so in the window [-1, 1]; packed as a
-    # (fiber, letters) state, the neighbours in label order must be the
-    # packed row-0 targets, at every bit width of a letter.
-    for d in (5, 8, 9):
-        rng = random.Random(f"move-rule:{d}")
-        for _ in range(20):
-            q = sample_point(rng, d, max_prefix=4, max_period=2)
-            win = _Window(q, -1, 1)
-            low = (1 << win.shift) - 1
-            packed = [
-                (win.segment.index(gray_projection(t)) << win.shift) | (win.state(t) & low)
-                for t in schreier_neighbors(q)
-            ]
-            rows, states = win.rows(win.state(q), pieces_mod._PIECE_CAP)
-            assert packed == [int(states[t]) for t in rows[0, 4:] if t >= 0], (d, q)
+def _layers_within(adj, start: int, radius: int) -> list[int]:
+    """Vertices within ``radius`` steps of ``start`` in breadth-first order,
+    targets in row order; ``adj[v]`` lists targets, -1 for none."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for t in adj[v]:
+            if t != -1 and t not in dist:
+                dist[t] = dist[v] + 1
+                queue.append(t)
+    return list(dist)
+
+
+def test_schreier_ball_is_the_tuple_piece_within_radius():
+    # schreier_ball walks the packed move rule; GrayPiece.build uses the
+    # tuple rule.  A ball of radius r lies in the fibers -r..r, so it must be
+    # the piece over [-r, r] cut at depth r, in the same breadth-first order.
+    rng = random.Random("ball-vs-piece")
+    cases = [(sample_point(rng, 5, max_prefix=4, max_period=2), 3) for _ in range(6)]
+    cases += [(parse_point(text, 5), 3) for text in ("3332[24]", "[23]")]
+    for d, texts in ((8, ("7(1)", "3332[74]", "000[57]")), (9, ("8(1)", "3332[84]", "000[58]"))):
+        cases += [(parse_point(text, d), 2) for text in texts]
+        cases.append((sample_point(rng, d, max_prefix=4, max_period=2), 2))
+    for p, r in cases:
+        piece = GrayPiece.build(p, -r, r)
+        want = [piece.point_of(i) for i in _layers_within(piece.adj, piece.basepoint, r)]
+        assert schreier_ball(p, r) == want, (p, r)
+
+
+def test_schreier_ball_matches_enumeration_oracle():
+    # The oracle's edges come from letter differences alone, so this shares
+    # no move code with the packed walk: the ball's (fiber, letters) states
+    # are the oracle component's states within distance r of the basepoint.
+    r = 2
+    pts = sample_points(CFG, 4, salt="ball-oracle", max_prefix=4, max_period=2)
+    pts += [parse_point("3332[24]", 5), parse_point("[23]", 5)]
+    for p in pts:
+        seg, slots, comp, edge_types, base = _oracle_component(p, -r, r)
+        adj = {s: [] for s in comp}
+        for a, b in map(tuple, edge_types):
+            if a in comp:
+                adj[a].append(b)
+                adj[b].append(a)
+        want = set(_layers_within(adj, base, r))
+        has_inf = any(first_star(w) is OMEGA for w in seg)
+        ball = schreier_ball(p, r)
+        got = set()
+        for q in ball:
+            letters = [_letter_at(q, pos) for pos in slots]
+            if has_inf:
+                letters += [q.tail.a, q.tail.b]
+            got.add((seg.index(gray_projection(q)) - r, tuple(letters)))
+        assert got == want and len(ball) == len(want), p
+
+
+def test_schreier_ball_too_wide_to_pack(monkeypatch):
+    # At the smallest degree whose radius-1 window does not pack into 62
+    # bits, the ball raises before any walk and names the bits it needs.  A
+    # letter's width grows only past a power of two, so that degree is one
+    # more than a power of two.
+    def point(d):
+        return periodic_point(d, (1, 0, 2), (3,))
+
+    d = 5
+    while _Window(point(d), -1, 1).fits():
+        d = 2 * d - 1
+    need = _Window(point(d), -1, 1).width
+    assert need > 62 and _Window(point(d - 1), -1, 1).width <= 62
+
+    def no_walk(*args):
+        raise AssertionError("the ball walked a window too wide to pack")
+
+    monkeypatch.setattr(_Window, "layers", no_walk)
+    with pytest.raises(ResourceCap, match=f"{need}-bit"):
+        schreier_ball(point(d), 1)
 
 
 def _toy_pieces() -> list:
