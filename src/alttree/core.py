@@ -50,6 +50,7 @@ __all__ = [
     "apply_word",
     "root_perm",
     "section_word",
+    "section_orbit",
     "inverse_word",
     "wreath_decompose",
     "is_identity",
@@ -129,19 +130,7 @@ class Perm:
         return self.images == tuple(range(len(self.images)))
 
     def is_even(self) -> bool:
-        seen = [False] * len(self.images)
-        parity = 0
-        for x in range(len(self.images)):
-            if seen[x]:
-                continue
-            length = 0
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                y = self.images[y]
-                length += 1
-            parity ^= (length - 1) & 1
-        return parity == 0
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -408,6 +397,34 @@ def section_word(word: Word, v: tuple[int, ...]) -> Word:
     return reduce_word(tuple(out))
 
 
+_ORBIT_CAP = 10_000  # steps of one section orbit
+
+
+def section_orbit(word: Word, period: tuple[int, ...]) -> tuple[list[int], list[Word], int]:
+    """Walk the sections of ``word`` along the ray ``period . period ...``
+    until a (section, phase) pair repeats.
+
+    Returns ``(ys, sections, start)``: step i reads the letter
+    ``period[i % len(period)]`` with the section ``sections[i]`` and writes
+    ``ys[i]``, and step ``start`` is where the cycle begins, so the image of
+    the ray is ``ys[:start]`` followed by ``ys[start:]`` repeated.  More than ``_ORBIT_CAP`` steps raise
+    ``ResourceCap``."""
+    seen: dict[tuple[Word, int], int] = {}
+    ys: list[int] = []
+    sections: list[Word] = []
+    w, phase = word, 0
+    while (w, phase) not in seen:
+        seen[w, phase] = len(ys)
+        x = period[phase]
+        ys.append(apply_word(w, (x,))[0])
+        sections.append(w)
+        if len(ys) > _ORBIT_CAP:
+            raise ResourceCap(f"sections along a ray did not cycle within {_ORBIT_CAP} steps")
+        w = section_word(w, (x,))
+        phase = (phase + 1) % len(period)
+    return ys, sections, seen[w, phase]
+
+
 def inverse_word(word: Word) -> Word:
     return tuple(g.inverse() for g in reversed(word))
 
@@ -617,10 +634,10 @@ def default_gens(d: int = 5) -> tuple[tuple[str, Gen], ...]:
     return tuple(gens)
 
 
-def _connected(nodes: set[int], edges: list[tuple[int, int]]) -> bool:
+def _connected(nodes: set, edges: list[tuple]) -> bool:
     if not nodes:
         return True
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
+    adj: dict = {n: set() for n in nodes}
     for u, v in edges:
         if u in adj and v in adj:
             adj[u].add(v)
@@ -740,17 +757,13 @@ def validate_gens(gens: tuple[tuple[str, Gen], ...], d: int) -> None:
             for u in range(1, d):
                 for v in range(d):
                     pair_edges.append(((u, v), (g.rho(u), g.sigma(u)(v))))
-    node_ids = {n: i for i, n in enumerate(sorted(pair_nodes))}
-    if not _connected(
-        set(node_ids.values()),
-        [(node_ids[a], node_ids[b]) for a, b in pair_edges],
-    ):
+    if not _connected(pair_nodes, pair_edges):
         raise ValueError("recursion generators do not connect the visible-pair states")
 
 
 @dataclass(frozen=True)
 class Config:
-    """Degree, named generators, and the seed used by sampled suites."""
+    """Degree, named generators, and the seed ``corpus.rng_for`` samples from."""
 
     d: int = 5
     gens: tuple[tuple[str, Gen], ...] = ()

@@ -1,8 +1,8 @@
-"""Seeded sample streams shared by the verification suites and tests.
+"""Seeded sample streams shared by the audits and the tests.
 
-Everything is driven by ``random.Random(seed)`` so that every suite run
-with the same configuration and seed sees the same data and produces the
-same report bytes.
+Everything is driven by ``random.Random(seed)`` so that every run with
+the same configuration and seed sees the same data and produces the same
+report bytes.
 """
 
 from __future__ import annotations

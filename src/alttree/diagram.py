@@ -13,8 +13,9 @@ word plus its end vertex alone.
 The module provides the finite-path type, encode/decode between points
 and paths, a clopen-set algebra over antichains of path prefixes, exact
 images of cylinders under group words, tower/prefix-exchange
-machinery, and the audits used by the verification suites (uniform
-non-exchange counts per tower, pointwise-fixed witness cylinders).
+machinery, and the audits that the tests run (uniform non-exchange
+counts per tower, pointwise-fixed witness cylinders, the encode/decode
+round trip).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     is_identity,
     reduce_word,
     root_perm,
+    section_orbit,
     section_word,
     word_to_json,
 )
@@ -611,47 +613,37 @@ def is_identity_on_vertex(word: Word, v: Vertex | None, d: int | None = None) ->
 
     The tails of a vertex split along its out-edges, so the word is
     trivial on the vertex iff its root fixes every edge label and every
-    section is trivial on the matching target.  Cycles in that
-    unfolding mean the demands repeat forever without a violation, so
-    they count as success; a visited cycle therefore returns True.
+    section is trivial on the matching target.  A demand is a pair of a
+    section word and a vertex; the walk below visits every demand that
+    the root demand reaches, as ``is_identity`` visits sections, and the
+    word is trivial on the vertex iff none of them moves an edge label.
     """
     word = reduce_word(word)
     if not word:
         return True
     if d is None:
         d = word[0].d
-    ok, _tainted = _iov(word, v, d, set())
-    return ok
-
-
-def _iov(word: Word, v, d: int, inprog: set) -> tuple[bool, bool]:
-    if not word:
-        return True, False
-    key = (word, v)
-    cached = _IOV_CACHE.get(key)
+    root = (word, v)
+    cached = _IOV_CACHE.get(root)
     if cached is not None:
-        return cached, False
-    if key in inprog:
-        return True, True
-    inprog.add(key)
-    ok, tainted = True, False
-    rp = root_perm(word)
-    for lab, u in out_edges(d, v):
-        if rp(lab) != lab:
-            ok = False
-            break
-        sub_ok, sub_taint = _iov(section_word(word, (lab,)), u, d, inprog)
-        tainted = tainted or sub_taint
-        if not sub_ok:
-            ok = False
-            break
-    inprog.discard(key)
-    # a False is a hard witness; a True that leaned on an in-progress
-    # assumption is only valid for the call that made the assumption
-    if not ok or not tainted:
-        _IOV_CACHE[key] = ok
-        tainted = False
-    return ok, tainted
+        return cached
+    visited: set[tuple] = set()
+    stack = [root]
+    while stack:
+        demand = stack.pop()
+        w, u = demand
+        if demand in visited or not w or _IOV_CACHE.get(demand) is True:
+            continue
+        rp = root_perm(w)
+        if any(rp(lab) != lab for lab, _ in out_edges(d, u)):
+            _IOV_CACHE[root] = False
+            return False
+        visited.add(demand)
+        stack.extend((section_word(w, (lab,)), t) for lab, t in out_edges(d, u))
+    # every reachable demand fixes its edge labels
+    for demand in visited:
+        _IOV_CACHE[demand] = True
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +702,7 @@ def bounded_type_audit(gen: Gen, max_level: int, d: int | None = None) -> dict:
     # sections along the zero ray, up to their eventual cycle: a doubled
     # point there is exceptional iff no depth ever acts as a plain
     # prefix exchange around it
-    ray_sections: list[Word] = []
-    s: Word = word
-    while s not in ray_sections:
-        ray_sections.append(s)
-        s = section_word(s, (0,))
+    _, ray_sections, _ = section_orbit(word, (0,))
     exceptional = []
     for a in range(1, d):
         for b in range(d):

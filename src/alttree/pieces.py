@@ -15,8 +15,9 @@ finite.  Pieces get canonical byte codes (deterministic BFS in fixed label
 order); code equality is exactly pointed label-preserving isomorphism of
 the underlying labelled graphs.
 
-The moves have two implementations.  ``GrayPiece.build`` steps letter
-tuples; it is the reference, and the path for windows too wide to pack.
+The moves have two implementations.  ``GrayPiece.build`` states the rule
+plainly, one move of one letter tuple at a time; it is the reference, and
+the path for windows too wide to pack.
 ``_Window.layers`` walks packed states one breadth-first layer at a time
 with array arithmetic; it gives piece codes, the keys ``find_n0`` compares
 and Schreier balls.  A move changes the fiber by at most one, so the ball
@@ -32,6 +33,7 @@ it by its piece.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from array import array
 from collections import deque
 from collections.abc import Iterator
@@ -49,6 +51,7 @@ from .points import (
     first_star,
     gray_projection,
     gray_segment,
+    pos_sort_key,
     visible_positions,
     with_letters,
 )
@@ -113,26 +116,17 @@ class LevelGraph:
         return self.d**self.n
 
     def is_connected(self) -> bool:
-        seen = bytearray(self.size)
+        # every row permutes the finite level, so the set that forward moves
+        # reach is closed under the inverse moves too
+        seen = {0}
         stack = [0]
-        seen[0] = 1
-        count = 1
-        rows = list(self.adj.values())
-        inv = []
-        for row in rows:
-            back = [0] * self.size
-            for i, j in enumerate(row):
-                back[j] = i
-            inv.append(tuple(back))
         while stack:
             v = stack.pop()
-            for row in rows + inv:
-                w = row[v]
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == self.size
+            for row in self.adj.values():
+                if row[v] not in seen:
+                    seen.add(row[v])
+                    stack.append(row[v])
+        return len(seen) == self.size
 
     def automorphism_count(self) -> int:
         """Label-preserving graph automorphisms (they are determined by the
@@ -147,25 +141,10 @@ def level_graph(cfg: Config, n: int, cap: int = 6) -> LevelGraph:
         raise ValueError("level must be positive")
     if n > cap:
         raise ResourceCap(f"level graphs are capped at n={cap}")
-    d = cfg.d
-    size = d**n
-    adj = {}
-    for name, g in cfg.gens:
-        row = []
-        for i in range(size):
-            w = []
-            k = i
-            for _ in range(n):
-                w.append(k % d)
-                k //= d
-            w.reverse()
-            img = g.apply(tuple(w))
-            j = 0
-            for x in img:
-                j = j * d + x
-            row.append(j)
-        adj[name] = tuple(row)
-    return LevelGraph(d, n, tuple(name for name, _ in cfg.gens), adj)
+    # lexicographic order is the index order of ``LevelGraph.word_of``
+    index = {w: i for i, w in enumerate(itertools.product(range(cfg.d), repeat=n))}
+    adj = {name: tuple(index[g.apply(w)] for w in index) for name, g in cfg.gens}
+    return LevelGraph(cfg.d, n, tuple(name for name, _ in cfg.gens), adj)
 
 
 # ---------------------------------------------------------------------------
@@ -241,97 +220,50 @@ class GrayPiece:
     def build(p: TildePoint, lo: int, hi: int, cap: int = 2_000_000) -> "GrayPiece":
         d = p.d
         win = _Window(p, lo, hi)
-        seg, slots, has_pair, pair_slots = win.segment, win.slots, win.has_pair, win.pair_slots
         base_letters = win.letters(p)
-        for i, pos in enumerate(slots):
-            if (base_letters[i] != 0) != bool(seg[-lo].bit(pos)):
+        for i, pos in enumerate(win.slots):
+            if (base_letters[i] != 0) != bool(win.segment[-lo].bit(pos)):
                 raise AssertionError("basepoint letters disagree with its Gray word")
 
-        # Hot loop: pieces can run to thousands of states, so the successor
-        # tables below avoid per-move function calls and list round-trips.
-        # Row order must stay aligned with descriptor_labels: A-moves by
-        # letter, then B-moves by (u, v).
-        a_step = []  # fiber reached when the first letter changes zeroness
-        b_step = []  # fiber reached when the pair's second entry changes zeroness
-        for k in range(lo, hi + 1):
-            k2 = _a_neighbor_index(k)
-            a_step.append(k2 if lo <= k2 <= hi else None)
-            k2 = _b_neighbor_index(k)
-            b_step.append(k2 if lo <= k2 <= hi else None)
+        def moves(k: int, letters: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]] | None]:
+            # the target state of each move, in descriptor_labels order, or
+            # None when the move changes nothing or leaves the window; the
+            # visible pair sits at adjacent slots (slots are sorted)
+            x1 = letters[0]
+            for c in range(d):
+                k2 = k if (c != 0) == (x1 != 0) else _a_neighbor_index(k)
+                yield (k2, (c,) + letters[1:]) if c != x1 and lo <= k2 <= hi else None
+            iu, iv = win.pair_slots[k - lo]
+            for u2 in range(1, d):
+                for v2 in range(d):
+                    k2 = k if (v2 != 0) == (letters[iv] != 0) else _b_neighbor_index(k)
+                    if (u2, v2) == (letters[iu], letters[iv]) or not lo <= k2 <= hi:
+                        yield None
+                    else:
+                        yield k2, letters[:iu] + (u2, v2) + letters[iv + 1 :]
 
+        # verts grows while it is iterated: vertices are expanded, and
+        # numbered, in breadth-first order
         verts: list[tuple[int, tuple[int, ...]]] = [(0, base_letters)]
         index = {verts[0]: 0}
-        index_get = index.get
         adj: list[tuple[int, ...]] = []
-        queue = deque([0])
-        while queue:
-            vi = queue.popleft()
-            k, letters = verts[vi]
-            iu, iv = pair_slots[k - lo]
-            u, v = letters[iu], letters[iv]
-            x1 = letters[0]
-            x1_nonzero = x1 != 0
-            v_nonzero = v != 0
-            ka = a_step[k - lo]
-            kb = b_step[k - lo]
-            tail1 = letters[1:]
-            head = letters[:iu]
-            mid = letters[iu + 1 : iv]
-            rest = letters[iv + 1 :]
+        for k, letters in verts:
             row = []
-            append = row.append
-            for c in range(d):
-                if c == x1:
-                    append(-1)
-                    continue
-                if (c != 0) == x1_nonzero:
-                    k2 = k
-                elif ka is None:
-                    append(-1)
-                    continue
-                else:
-                    k2 = ka
-                state = (k2, (c,) + tail1)
-                ti = index_get(state)
-                if ti is None:
-                    ti = len(verts)
-                    index[state] = ti
+            for state in moves(k, letters):
+                if state is not None and state not in index:
+                    index[state] = len(verts)
                     verts.append(state)
-                    queue.append(ti)
                     if len(verts) > cap:
                         raise ResourceCap(f"piece exceeded {cap} vertices")
-                append(ti)
-            for u2 in range(1, d):
-                mid_u2 = head + (u2,) + mid
-                for v2 in range(d):
-                    if u2 == u and v2 == v:
-                        append(-1)
-                        continue
-                    if (v2 != 0) == v_nonzero:
-                        k2 = k
-                    elif kb is None:
-                        append(-1)
-                        continue
-                    else:
-                        k2 = kb
-                    state = (k2, mid_u2 + (v2,) + rest)
-                    ti = index_get(state)
-                    if ti is None:
-                        ti = len(verts)
-                        index[state] = ti
-                        verts.append(state)
-                        queue.append(ti)
-                        if len(verts) > cap:
-                            raise ResourceCap(f"piece exceeded {cap} vertices")
-                    append(ti)
+                row.append(-1 if state is None else index[state])
             adj.append(tuple(row))
         return GrayPiece(
             d=d,
             lo=lo,
             hi=hi,
-            segment=seg,
-            slots=slots,
-            has_pair=has_pair,
+            segment=win.segment,
+            slots=win.slots,
+            has_pair=win.has_pair,
             verts=verts,
             adj=adj,
             basepoint=0,
@@ -415,15 +347,11 @@ def _trace_code(piece: GrayPiece, start: int, with_fibers: bool) -> bytes:
     fibers), first letter and visible pair, so by ``_bfs_trace`` the digest
     is a canonical form: two pieces get the same digest exactly when they
     are isomorphic as pointed labelled graphs."""
-    verts = piece.verts
-    pair_slots = piece._window.pair_slots
-    plo = piece.lo
-    base_fiber = verts[start][0]
+    shift = piece.annotation(start)[0]
 
-    def annotation(vi: int) -> list[int]:
-        k, letters = verts[vi]
-        iu, iv = pair_slots[k - plo]
-        return [k - base_fiber if with_fibers else 0, letters[0], letters[iu], letters[iv]]
+    def annotation(v: int) -> list[int]:
+        fiber, *rest = piece.annotation(v)
+        return [fiber - shift if with_fibers else 0, *rest]
 
     return _bfs_trace(start, piece.adj, annotation)
 
@@ -498,27 +426,16 @@ def branch_report(piece: GrayPiece) -> dict:
     core = set(piece.component_within(base, -n + 2, n - 2))
     out = {}
     for side, (wlo, whi) in (("left", (-n, n - 2)), ("right", (-n + 2, n))):
-        marg = set(piece.component_within(base, wlo, whi))
-        over_core = {v for v in marg if -n + 2 <= piece.verts[v][0] <= n - 2}
+        marg = piece.component_within(base, wlo, whi)
+        over_core = {v for v in marg if -n + 2 <= piece.fiber(v) <= n - 2}
+        # the marginal is closed under moves inside its window, so each
+        # component over the core window lies inside ``over_core``
         comps = 0
         seen: set[int] = set()
-        for v in sorted(over_core):
-            if v in seen:
-                continue
-            comps += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for t in piece.adj[x]:
-                    if (
-                        t >= 0
-                        and t in over_core
-                        and t not in seen
-                        and -n + 2 <= piece.verts[t][0] <= n - 2
-                    ):
-                        seen.add(t)
-                        stack.append(t)
+        for v in over_core:
+            if v not in seen:
+                comps += 1
+                seen.update(piece.component_within(v, -n + 2, n - 2))
         out[side] = {
             "components": comps,
             "branches": bool(over_core - core),
@@ -533,23 +450,12 @@ def segment_roots(segment: tuple[GrayWord, ...]) -> tuple[list[int], list[int], 
     sit exactly one position higher.  Windows rooted at the formal position
     have no anti-roots."""
     stars = [first_star(w) for w in segment]
-    jmax = stars[0]
-    for j in stars[1:]:
-        if _pos_lt(jmax, j):
-            jmax = j
+    jmax = max(stars, key=pos_sort_key)
     roots = [i for i, j in enumerate(stars) if j == jmax]
     if jmax is OMEGA:
         return roots, [], OMEGA
     anti = [i for i, j in enumerate(stars) if j == jmax - 1]
     return roots, anti, jmax
-
-
-def _pos_lt(a, b) -> bool:
-    if a is OMEGA:
-        return False
-    if b is OMEGA:
-        return True
-    return a < b
 
 
 def is_quasi_level(piece: GrayPiece) -> int | None:

@@ -34,13 +34,13 @@ from .core import (
     AGen,
     BGen,
     Gen,
-    ResourceCap,
     Word,
     as_nucleus,
     apply_word,
     equals,
     is_identity_gen,
     reduce_word,
+    section_orbit,
     section_word,
 )
 
@@ -237,9 +237,6 @@ def parse_point(text: str, d: int) -> TildePoint:
 # the action
 
 
-_STATE_CAP = 10_000
-
-
 def act(word: Word, p: TildePoint) -> TildePoint:
     """Exact image of a point under a word."""
     word = reduce_word(word)
@@ -252,54 +249,26 @@ def act(word: Word, p: TildePoint) -> TildePoint:
         out.append(apply_word(w, (x,))[0])
         w = section_word(w, (x,))
     if isinstance(p.tail, Periodic):
-        per = p.tail.word
-        seen: dict = {}
-        ys: list[int] = []
-        idx = 0
-        while (w, idx) not in seen:
-            seen[(w, idx)] = len(ys)
-            ys.append(apply_word(w, (per[idx],))[0])
-            w = section_word(w, (per[idx],))
-            idx = (idx + 1) % len(per)
-            if len(ys) > _STATE_CAP:
-                raise ResourceCap("section state space too large while acting on a periodic point")
-        start = seen[(w, idx)]
+        ys, _, start = section_orbit(w, p.tail.word)
         return periodic_point(d, tuple(out) + tuple(ys[:start]), tuple(ys[start:]))
     # doubled point: stream zeros until the section word repeats
-    seen = {}
-    ys = []
-    while w not in seen:
-        seen[w] = len(ys)
-        ys.append(apply_word(w, (0,))[0])
-        w = section_word(w, (0,))
-        if len(ys) > _STATE_CAP:
-            raise ResourceCap("section state space too large while acting on a doubled point")
-    start = seen[w]
-    cycle_out = ys[start:]
-    if any(y != 0 for y in cycle_out):
+    ys, sections, start = section_orbit(w, (0,))
+    if any(y != 0 for y in ys[start:]):
         raise AssertionError("the eventually-zero orbit was not preserved; generator invariants are broken")
-    stable = as_nucleus(w, d)
+    stable = as_nucleus(sections[start], d)
     if stable is None or (isinstance(stable, AGen) and not stable.pi.is_identity() and stable.pi(0) != 0):
         raise AssertionError("section did not stabilize to a recursion element on the zero ray")
     a, b = stable.apply((p.tail.a, p.tail.b))
     return zero_pair_point(d, tuple(out) + tuple(ys[:start]), a, b)
 
 
-def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int, cap: int = 64) -> Gen:
+def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int) -> Gen:
     """The stable section of ``word`` along ``prefix . 0^inf``.
 
     Always a single recursion generator or the identity; the stabilization
-    depth is bounded by the section-state count (cap with diagnostic)."""
-    w = section_word(reduce_word(word), prefix)
-    seen = {}
-    chain = []
-    while w not in seen:
-        seen[w] = len(chain)
-        chain.append(w)
-        w = section_word(w, (0,))
-        if len(chain) > cap:
-            raise ResourceCap(f"zero-ray section did not cycle within {cap} steps")
-    cycle = chain[seen[w]:]
+    depth is bounded by the section-state count (``section_orbit`` caps it)."""
+    _, chain, start = section_orbit(section_word(reduce_word(word), prefix), (0,))
+    cycle = chain[start:]
     for other in cycle[1:]:
         if not equals(cycle[0], other, d):
             raise AssertionError("zero-ray sections cycle through distinct elements")

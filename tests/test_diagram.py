@@ -526,6 +526,28 @@ def test_is_identity_on_vertex_known_cases():
     assert is_identity_on_vertex((c1,), (2, 3, 0), D)
 
 
+def test_is_identity_on_vertex_at_the_top_is_is_identity():
+    """The tails of the top vertex are the whole space, so a word is trivial
+    on it exactly when it is trivial.  Checked with both caches cleared,
+    then again warm in reverse order."""
+    import alttree.core as core
+    import alttree.diagram as diagram
+
+    rng = rng_for(CFG, "diag-iov-top")
+    a1 = CFG.gen("a1")  # a 3-cycle, so a1 a1 a1 is trivial
+    words = []
+    for _ in range(12):
+        words.append(sample_word(rng, CFG, max_len=3))
+        u = sample_word(rng, CFG, max_len=3)
+        words.append(u + (a1, a1, a1) + inverse_word(u))
+    core._IDENTITY_CACHE.clear()
+    diagram._IOV_CACHE.clear()
+    cold = [(is_identity_on_vertex(w, None, D), is_identity(w, D)) for w in words]
+    warm = [(is_identity_on_vertex(w, None, D), is_identity(w, D)) for w in reversed(words)]
+    assert all(on_top == trivial for on_top, trivial in cold + warm)
+    assert {trivial for _, trivial in cold} == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # audits
 

@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -470,6 +471,17 @@ def _visible(word):
     return {1} | _b_visible(word)
 
 
+def _marginal_components_over_core(piece, side):
+    """networkx count of the components of a side's marginal over the core
+    window: the undirected graph its vertices there induce."""
+    n = piece.hi
+    g = nx.Graph((v, t) for v, row in enumerate(piece.adj) for t in row if t >= 0)
+    g.add_nodes_from(range(piece.size))
+    wlo, whi = (-n, n - 2) if side == "left" else (-n + 2, n)
+    marg = nx.node_connected_component(g.subgraph(v for v in g if wlo <= piece.fiber(v) <= whi), piece.basepoint)
+    return nx.number_connected_components(g.subgraph(v for v in marg if -n + 2 <= piece.fiber(v) <= n - 2))
+
+
 def test_branching_visibility_criterion():
     """Branching on a side is equivalent to: some position is pair-visible
     among the words the side loses, invisible over the core words, and
@@ -490,6 +502,7 @@ def test_branching_visibility_criterion():
             qs = outer_vis - core_vis
             predicted = any(_letter_at(p, q) != 0 for q in qs)
             assert predicted == rep[side]["branches"], (repr(p), side, sorted(qs, key=str))
+            assert rep[side]["components"] == _marginal_components_over_core(piece, side)
         if rep["bi_branching"]:
             bi_seen += 1
             assert is_quasi_level(piece) is not None

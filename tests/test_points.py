@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from alttree.core import AGen, BGen, Config, Perm, a_gen, apply_word, b_gen, equals, section_word
+from alttree.core import AGen, BGen, Config, Perm, ResourceCap, a_gen, apply_word, b_gen, equals, section_word
 from alttree.corpus import sample_point, sample_word
 from alttree.points import (
     OMEGA,
@@ -125,6 +125,20 @@ def test_act_pair_against_deep_periodic_approximation():
         deep = act(word, approx)
         k = len(p.prefix) + n
         assert (deep.letter(k + 1), deep.letter(k + 2)) == img_pair
+
+
+def test_act_raises_when_the_section_orbit_passes_its_cap(monkeypatch):
+    # period (1 3) takes two steps to repeat a (section, phase) pair
+    import alttree.core as core
+
+    word = (GENS["c1"], GENS["a1"])
+    p = periodic_point(D, (2,), (1, 3))
+    expected = act(word, p)
+    monkeypatch.setattr(core, "_ORBIT_CAP", 1)
+    with pytest.raises(ResourceCap, match="did not cycle within 1 steps"):
+        act(word, p)
+    monkeypatch.undo()
+    assert act(word, p) == expected
 
 
 def test_act_is_a_group_action():
