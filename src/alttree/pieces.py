@@ -17,12 +17,31 @@ the underlying labelled graphs.
 
 The moves have two implementations.  ``GrayPiece.build`` states the rule
 plainly, one move of one letter tuple at a time; it is the reference, and
-the path for windows too wide to pack.
-``_Window.layers`` walks packed states one breadth-first layer at a time
-with array arithmetic; it gives piece codes, the keys ``find_n0`` compares
-and Schreier balls.  A move changes the fiber by at most one, so the ball
-of radius R around a point is the first R + 1 layers of its piece over the
-window [-R, R].
+the path for windows too wide to pack.  ``_Window.layers`` walks packed
+states one breadth-first layer at a time with array arithmetic, expanding
+each move clique (below) once; it gives piece codes, the keys ``find_n0``
+compares and Schreier balls.
+
+Clique lemma.  A vertex's A-clique is the set of window states that agree
+with it except perhaps at ``x1``, each at the fiber whose word fits its
+``x1``; its B-clique, the same with the visible pair (u, v) for ``x1``.
+Each vertex lies in one of each; its move ("A", c) leads to the member of
+its A-clique with ``x1 = c``, ("B", u, v) to the member of its B-clique
+with that pair.  Proof: the words at fiber k and at its A-neighbour differ
+in bit 1 alone, so an A-move to c keeps the other letters and lands on the
+fiber where x1 = 0 if c = 0, else on its A-neighbour, whichever member it
+starts from, if that fiber is in the window.  A B-move flips only the bit
+after the first star j, so both fibers of a B-clique show the same pair,
+and the argument repeats with ``v`` for ``x1``.  So a clique is named by
+arithmetic on any member's packed state: clear ``x1`` (the pair) and put
+the fiber where ``x1`` (``v``) is zero, in the window or not.
+
+Minimality.  No two vertices of a piece are bisimilar: a move writes only
+letters in view (``x1``, or the visible pair at the current fiber), and
+moves can be undone, so from any vertex a walk reaches every fiber of its
+piece, and along it the annotation shows each letter before the walk can
+change it (a letter never in view is the same at every vertex).  So
+bisimilar vertices have the same (fiber, letters) state: they are one.
 
 The module also computes marginal subpieces, branch counts, quasi-level
 detection, and the separation constant ``n0``: the piece radius at which
@@ -80,14 +99,11 @@ __all__ = [
 # (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
 # distinct points in every ball, radius 5 does not.  The audit reports
 # n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
-# replay collision; it takes about 9 s on a 2-vCPU host (Python 3.11,
+# replay collision; it takes about 3 s on a 2-vCPU host (Python 3.11,
 # numpy 2.4):
 #
 #   cfg = Config.default(5)
 #   find_n0(cfg, sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2), radius=8)
-#
-# Downstream constructions size their windows from this constant instead of
-# re-running the search.
 SEPARATION_RADIUS = 6
 
 
@@ -254,7 +270,7 @@ class GrayPiece:
                     index[state] = len(verts)
                     verts.append(state)
                     if len(verts) > cap:
-                        raise ResourceCap(f"piece exceeded {cap} vertices")
+                        raise ResourceCap(f"piece exceeded {cap} vertices: {len(verts)} reached")
                 row.append(-1 if state is None else index[state])
             adj.append(tuple(row))
         return GrayPiece(
@@ -507,6 +523,8 @@ class _Window:
             self.pair_slots.append((nfin, nfin + 1) if j is OMEGA else (slot_index[j], slot_index[j + 1]))
         self.d, self.lo, self.hi = p.d, lo, hi
         self.bits = (p.d - 1).bit_length()
+        # per fiber offset: bit offsets of x1 and of the visible pair
+        self.shifts = self.bits * np.array([(0, iu, iv) for iu, iv in self.pair_slots], dtype=np.int64)
         self.shift = self.bits * (nfin + (2 if self.has_pair else 0))
         self.width = self.shift + (hi - lo + 1).bit_length()  # bits of a packed state
 
@@ -542,116 +560,113 @@ class _Window:
         cols = [((states >> (self.bits * i)) & mask).tolist() for i in range(self.shift // self.bits)]
         return list(zip(*cols))
 
-    def rows(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-        """The piece of packed state ``start`` as (rows, states): row i is the
-        int32 trace row ``[fiber, x1, u, v, target per label]`` of the i-th
-        vertex in breadth-first order from ``start``, and states[i] is its
-        packed state.  More than ``cap`` vertices raise ``ResourceCap``."""
+    def piece(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """The piece of packed state ``start`` in clique form, as (table,
+        states): row i of the int32 table is ``[fiber, x1, u, v, A-clique,
+        B-clique]`` of the i-th vertex in breadth-first order from ``start``,
+        and states[i] is its packed state.  More than ``cap`` vertices raise
+        ``ResourceCap``."""
         walk = list(self.layers(start, cap))
-        return np.concatenate([rows for _, rows in walk[1:]]), np.concatenate([states for states, _ in walk])
+        states = np.concatenate([step[0] for step in walk])
+        ko = states >> self.shift
+        table = np.empty((states.size, 6), dtype=np.int32)
+        table[:, 0] = ko + self.lo
+        table[:, 1:4] = (states[:, None] >> self.shifts[ko]) & ((1 << self.bits) - 1)
+        for kind in (1, 2):
+            members = np.concatenate([step[kind] for step in walk[1:]])
+            table[members[members >= 0], 3 + kind] = np.nonzero(members >= 0)[0]
+        return table, states
 
-    def layers(self, start: int, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    def rows(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """``piece`` with each table row replaced by the int32 trace row
+        ``[fiber, x1, u, v, target per label]``: by the clique lemma the
+        targets are the other members of the vertex's A-clique by ``x1``,
+        then of its B-clique by ``(u, v)``."""
+        table, states = self.piece(start, cap)
+        n = len(table)
+        rows = [table[:, :4]]
+        for clique, letter, members in _clique_contents(table, self.d, np.arange(n, dtype=np.int32)):
+            rows.append(members[clique])
+            rows[-1][np.arange(n), letter] = -1  # no move keeps the letter
+        return np.hstack(rows), states
+
+    def layers(self, start: int, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
         """Walk the piece of packed state ``start`` one breadth-first layer at
-        a time.  Each step yields (states, rows): the packed states of the
-        next layer, and the trace rows (see ``rows``) of the layer before it,
-        None at the first step.  The last step yields no states.  A layer is
-        expanded only when the walk is resumed after it, so a caller that
-        stops early walks no further.  More than ``cap`` vertices raise
-        ``ResourceCap``.
-
-        Successor states come by array arithmetic.  Vertices get the numbers
-        ``GrayPiece.build`` gives them, because edge targets are laid out
-        parent-major, label-minor before the first-occurrence scan."""
-        d, lo, hi = self.d, self.lo, self.hi
-        bits, shift = self.bits, self.shift
-        mask = (1 << bits) - 1
-        span = hi - lo + 1
-
-        siu_f = np.empty(span, dtype=np.int64)
-        siv_f = np.empty(span, dtype=np.int64)
-        clear_f = np.empty(span, dtype=np.int64)
-        a_f = np.empty(span, dtype=np.int64)  # A-step target fiber offset, or -1
-        b_f = np.empty(span, dtype=np.int64)
-        for ko in range(span):
-            iu, iv = self.pair_slots[ko]
-            siu_f[ko] = bits * iu
-            siv_f[ko] = bits * iv
-            clear_f[ko] = ~((mask << (bits * iu)) | (mask << (bits * iv)))
-            k2 = _a_neighbor_index(ko + lo)
-            a_f[ko] = k2 - lo if lo <= k2 <= hi else -1
-            k2 = _b_neighbor_index(ko + lo)
-            b_f[ko] = k2 - lo if lo <= k2 <= hi else -1
-
-        vis_sorted = np.array([start], dtype=np.int64)
-        vis_ids = np.array([0], dtype=np.int64)
-        layer = np.array([start], dtype=np.int64)  # current layer, in id order
-        rows = None
-        next_id = 1
-        low_mask = (1 << shift) - 1
-
+        a time.  Each step yields the packed states of the next layer, then
+        the member tables of the A- and B-cliques first met in the layer
+        before it (None at the first step): a row per clique, a column per
+        letter in label order, and the member's number there, or -1 for a
+        fiber outside the window.  The last step yields no states.  A layer
+        is expanded only when the walk is resumed after it.  More than
+        ``cap`` vertices raise ``ResourceCap``.  A clique that meets a layer
+        was expanded already exactly when it meets the layer before; if not,
+        it is expanded from its first vertex, and its members lie in this
+        layer or the next.  A fresh vertex is numbered by its first place,
+        its clique's first vertex's place times d**2 plus its label's index:
+        ``GrayPiece.build``'s order."""
+        d, lo, hi, shift = self.d, self.lo, self.hi, self.shift
+        mask, fibers = (1 << self.bits) - 1, range(lo, hi + 1)
+        sx1, siu, siv = self.shifts.T
+        pair_u, pair_v = np.divmod(np.arange(d, d * d), d)
+        # per clique kind, by fiber offset: the bits its moves rewrite, the shift of the letter
+        # whose zeroness picks the fiber, the other fiber, member bits; by member: zero?, label
+        kinds = (
+            (np.full(len(fibers), mask), sx1, np.array([_a_neighbor_index(k) - lo for k in fibers]),
+             np.tile(np.arange(d), (len(fibers), 1)), np.arange(d) == 0, np.arange(d)),
+            ((mask << siu) | (mask << siv), siv, np.array([_b_neighbor_index(k) - lo for k in fibers]),
+             (pair_u << siu[:, None]) | (pair_v << siv[:, None]), pair_v == 0, np.arange(d, d * d)),
+        )
+        layer, first = np.array([start], dtype=np.int64), 0  # in number order, and its first number
+        met = [np.empty(0, dtype=np.int64)] * 2  # keys of the cliques the layer before meets
+        members = [None, None]
         while True:
-            yield layer, rows
+            yield layer, *members
             if not layer.size:
                 return
-            n = layer.size
             ko = layer >> shift
-            low = layer & low_mask
-            x1 = low & mask
-            siu = siu_f[ko]
-            siv = siv_f[ko]
-            u = (layer >> siu) & mask
-            v = (layer >> siv) & mask
-            x1_nonzero = x1 != 0
-            v_nonzero = v != 0
-            ka = a_f[ko]
-            kb = b_f[ko]
-            edges = np.empty((n, d * d), dtype=np.int64)  # -1 marks no edge
-            for c in range(d):
-                flip = (c != 0) != x1_nonzero
-                tgt = np.where(flip, ka, ko)
-                valid = (x1 != c) & (tgt >= 0)
-                succ = (tgt << shift) | (low ^ (x1 ^ c))
-                edges[:, c] = np.where(valid, succ, -1)
-            base_uv = low & clear_f[ko]
-            col = d
-            for u2 in range(1, d):
-                part = base_uv | (u2 << siu)
-                for v2 in range(d):
-                    flip = (v2 != 0) != v_nonzero
-                    tgt = np.where(flip, kb, ko)
-                    valid = ~((u == u2) & (v == v2)) & (tgt >= 0)
-                    succ = (tgt << shift) | part | (v2 << siv)
-                    edges[:, col] = np.where(valid, succ, -1)
-                    col += 1
-            flat = edges.ravel()
+            low = layer & ((1 << shift) - 1)
+            cand, place = [], []  # candidate states, -1 outside the window, and their places
+            for k, (bits, zero_shift, other, member_bits, member_zero, labels) in enumerate(kinds):
+                # a clique's key: its member's state with the rewritten bits
+                # cleared, at the fiber where the picking letter is zero
+                zero = ((low >> zero_shift[ko]) & mask) == 0
+                z = np.where(zero, ko, other[ko])
+                base = low & ~bits[ko]
+                keys, at = np.unique((z << shift) | base, return_index=True)
+                at = at[np.isin(keys, met[k], assume_unique=True, invert=True)]
+                met[k] = keys
+                fiber = np.where(member_zero, z[at, None], np.where(zero, other[ko], ko)[at, None])
+                state = (fiber << shift) | base[at, None] | member_bits[ko[at]]
+                cand.append(np.where((fiber >= 0) & (fiber <= hi - lo), state, -1).ravel())
+                place.append((at[:, None] * d * d + labels).ravel())
+            split = cand[0].size
+            cand, place = np.concatenate(cand), np.concatenate(place)
 
-            pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
-            known = vis_sorted[pos] == flat
-            fresh = flat[(~known) & (flat >= 0)]
-            if fresh.size:
-                uq, at = np.unique(fresh, return_index=True)
-                discovered = uq[np.argsort(at, kind="stable")]
-                ids_new = np.arange(next_id, next_id + discovered.size, dtype=np.int64)
-                next_id += discovered.size
-                if next_id > cap:
-                    raise ResourceCap(f"piece exceeded {cap} vertices")
-                vis_sorted = np.concatenate([vis_sorted, discovered])
-                vis_ids = np.concatenate([vis_ids, ids_new])
-                order = np.argsort(vis_sorted, kind="stable")
-                vis_sorted = vis_sorted[order]
-                vis_ids = vis_ids[order]
-                layer = discovered
-            else:
-                layer = fresh
+            order = np.argsort(layer)
+            pos = order[np.minimum(np.searchsorted(layer, cand, sorter=order), layer.size - 1)]
+            ids = np.where(layer[pos] == cand, first + pos, -1)
+            fresh = np.flatnonzero((cand >= 0) & (ids < 0))
+            fresh = fresh[np.argsort(place[fresh])]  # in order of first place
+            _, at, which = np.unique(cand[fresh], return_index=True, return_inverse=True)
+            first += layer.size
+            ids[fresh] = first + at.argsort().argsort()[which]
+            layer = cand[fresh[np.sort(at)]]
+            if first + layer.size > cap:
+                raise ResourceCap(f"piece exceeded {cap} vertices: {first + layer.size} reached")
+            ids = ids.astype(np.int32)
+            members = [ids[:split].reshape(-1, d), ids[split:].reshape(-1, d * (d - 1))]
 
-            pos = np.minimum(np.searchsorted(vis_sorted, flat), vis_sorted.size - 1)
-            tgt_ids = np.where(flat >= 0, vis_ids[pos], -1)
-            rows = np.empty((n, 4 + edges.shape[1]), dtype=np.int32)
-            rows[:, 0] = ko + lo
-            rows[:, 1] = x1
-            rows[:, 2] = u
-            rows[:, 3] = v
-            rows[:, 4:] = tgt_ids.reshape(n, -1)
+
+def _clique_contents(table: np.ndarray, d: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per clique kind, A then B, of a table in the clique form of
+    ``_Window.piece``: each vertex's clique, its letter there, and a table of
+    ``values`` by clique and letter, -1 where a clique has no such member."""
+    out, pair = [], (table[:, 2] - 1) * d + table[:, 3]
+    for clique, letter, count in ((table[:, 4], table[:, 1], d), (table[:, 5], pair, d * (d - 1))):
+        content = np.full((int(clique.max()) + 1, count), -1, dtype=values.dtype)
+        content[clique, letter] = values
+        out.append((clique, letter, content))
+    return out
 
 
 def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
@@ -668,104 +683,86 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     if not win.fits():
         raise ResourceCap(f"a radius-{radius} ball needs {win.width}-bit packed states; at most 62 fit")
     walk = islice(win.layers(win.state(p), _PIECE_CAP), radius + 1)
-    states = np.concatenate([layer for layer, _ in walk])
+    states = np.concatenate([layer for layer, _, _ in walk])
     return [win.point(p, letters) for letters in win.unpack(states)]
 
 
 def _mix(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Fold the int64 column ``x`` into the 64-bit hashes ``h``, in place:
-    ``h`` goes through a bijective scramble, then ``x`` is added."""
-    h ^= h >> np.uint64(31)
-    h *= np.uint64(0x9E3779B97F4A7C15)
+    """Scramble the hashes ``h`` in place by MurmurHash3's finaliser, then add the int64 column ``x``."""
+    for k in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        h ^= h >> np.uint64(33)
+        h *= np.uint64(k)
+    h ^= h >> np.uint64(33)
     h += x.view(np.uint64)
     return h
-
-
-def _classes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(an index of each distinct value, class of every entry) for the
-    values in ``h``, classes numbered in sorted order of value: what
-    ``np.unique`` returns as index and inverse, with fewer temporaries."""
-    order = np.argsort(h)
-    ordered = h[order]
-    first = np.empty(h.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    del ordered
-    ids = np.cumsum(first)
-    ids -= 1
-    colour = np.empty(h.size, dtype=np.int64)
-    colour[order] = ids
-    return order[first], colour
 
 
 def _bisimulation_classes(pieces: list[np.ndarray], lo: int, d: int) -> np.ndarray | None:
     """Class of every vertex of the pieces, numbered one piece after another,
     in the coarsest stable partition of their disjoint union, or None when
-    the hashed refinement cannot be confirmed.
+    the hashed refinement cannot be confirmed.  Each piece is a table in
+    the clique form of ``_Window.piece``.
 
     A piece is a deterministic automaton with the annotation ``[fiber, x1,
     u, v]`` as output and at most one target per label, so the coarsest
     partition that refines the annotations and is stable under every label
     ("no edge" counting as a class of its own) puts two vertices together
-    exactly when they are bisimilar.  Each round hashes every vertex's class
-    and its targets' classes, one label column at a time, and stops when
-    the class count stops growing.  A hash collision can only merge classes,
-    so the last partition is at least as coarse as the true one; it is
-    returned only if it refines the annotations and is stable, checked
-    exactly against each class's representative, and then it is the true
-    one."""
-    bounds = np.cumsum([0] + [len(r) for r in pieces])
-    ann = np.empty(bounds[-1], dtype=np.int64)
-    for r, s, e in zip(pieces, bounds, bounds[1:]):
-        ann[s:e] = (((r[:, 0].astype(np.int64) - lo) * d + r[:, 1]) * d + r[:, 2]) * d + r[:, 3]
-    rep, colour = _classes(ann)
-
-    def target_colours():
-        # per label, the class of every vertex's target, -1 for no edge
-        ext = [np.append(colour[s:e], -1) for s, e in zip(bounds, bounds[1:])]
-        tc = np.empty_like(colour)
-        for j in range(4, pieces[0].shape[1]):
-            for r, c, s, e in zip(pieces, ext, bounds, bounds[1:]):
-                np.take(c, r[:, j], out=tc[s:e])
-            yield tc
-
+    exactly when they are bisimilar.  By the clique lemma a vertex's targets
+    are the other members of its cliques, under letters their classes fix:
+    each round hashes every vertex's class with an order-free sum over each
+    of its cliques of the members' hashed classes, until the class count
+    stops growing.  A hash collision can only merge classes, so the last
+    partition is at least as coarse as the true one; it is returned only if
+    it refines the annotations and is stable, checked exactly against each
+    class's representative, and then it is the true one."""
+    table = np.concatenate(pieces)
+    offsets = np.cumsum([[0, 0]] + [r[:, 4:].max(axis=0) + 1 for r in pieces[:-1]], axis=0)  # of clique numbers
+    table[:, 4:] += np.repeat(offsets, [len(r) for r in pieces], axis=0).astype(np.int32)
+    ann = (((table[:, 0].astype(np.int64) - lo) * d + table[:, 1]) * d + table[:, 2]) * d + table[:, 3]
+    colour = np.unique(ann, return_inverse=True)[1]
     while True:
+        member = _mix(colour.astype(np.uint64), colour)
         h = colour.astype(np.uint64)
-        for tc in target_colours():
-            h = _mix(h, tc)
-        rep2, colour2 = _classes(h)
-        if rep2.size <= rep.size:
+        for clique in (table[:, 4], table[:, 5]):
+            sums = np.zeros(int(clique.max()) + 1, dtype=np.uint64)
+            np.add.at(sums, clique, member)
+            h = _mix(h, sums[clique])
+        del member, sums
+        colour2 = np.unique(h, return_inverse=True)[1]
+        if colour2.max() <= colour.max():
             break
-        rep, colour = rep2, colour2
-    del rep2, colour2  # the check below holds the most temporaries
+        colour = colour2
+    rep = np.empty(colour.max() + 1, dtype=np.int64)
+    rep[colour] = np.arange(colour.size)  # a representative of each class
     of = rep[colour]
-    if (ann[of] != ann).any() or any((tc[of] != tc).any() for tc in target_colours()):
+    if (ann[of] != ann).any():
         return None
+    # a vertex's targets are its cliques' contents with its own letter's
+    # entry blanked, and a class fixes the letter: compare contents exactly
+    for clique, _, content in _clique_contents(table, d, colour.astype(np.int32)):
+        kind = np.unique(content, axis=0, return_inverse=True)[1].ravel()
+        if (kind[clique[of]] != kind[clique]).any():
+            return None
     return colour
 
 
 def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int] | list[bytes]:
-    """One key per point; two points share a key exactly when their
-    ``piece_code(q, lo, hi)`` are equal.
+    """One key per point, shared exactly by points with equal ``piece_code(q, lo, hi)``."""
+    return _fiber_keys(points, [gray_projection(q) for q in points], lo, hi)
 
-    Points over one Gray word share the window, so the piece built from one
-    of them holds the state of every other one it reaches; a point whose
-    state the piece does not hold starts a new piece.  Every point lies over
-    its window's fiber 0, so its code is the canonical form of its pointed
-    piece.  Every piece is minimal -- no two of its vertices are bisimilar:
-    a move writes only letters in view (``x1``, or the visible pair at the
-    current fiber), and moves can be undone, so from any vertex a walk
-    reaches every fiber of its piece, and along it the annotation shows each
-    letter before the walk can change it (a letter never in view is the same
-    at every vertex).  So two bisimilar vertices of one piece have the same
-    (fiber, letters) state, which makes them the same vertex, and two pointed
-    pieces are isomorphic exactly when their points are bisimilar in the
-    union of the round's pieces: a point's key is its class there.  If a
-    window is too wide to pack or the classes cannot be confirmed, every
+
+def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: int) -> list[int] | list[bytes]:
+    """``_window_keys`` of points over the Gray words ``words``.  Points over
+    one Gray word share the window, so the piece built from one of them holds
+    the state of every other one it reaches; a point whose state the piece does
+    not hold starts a new piece.  A point's code is the canonical form of its
+    pointed piece, and pieces are minimal (see the module docstring), so a
+    point's key is its bisimulation class in the union of the round's pieces.
+    If a window is too wide to pack or the classes cannot be confirmed, every
     point of the round keys by its code."""
     fibers: dict[GrayWord, list[int]] = {}
-    for i, q in enumerate(points):
-        fibers.setdefault(gray_projection(q), []).append(i)
+    for i, w in enumerate(words):
+        fibers.setdefault(w, []).append(i)
     pieces = []
     where = np.empty(len(points), dtype=np.int64)  # each point's vertex in the union of the pieces
     size = 0
@@ -776,13 +773,13 @@ def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int] | list
         todo = np.array(members)
         states = np.array([win.state(points[i]) for i in members], dtype=np.int64)
         while todo.size:
-            rows, table = win.rows(int(states[0]), _PIECE_CAP)
-            order = np.argsort(table)
-            at = order[np.minimum(np.searchsorted(table, states, sorter=order), table.size - 1)]
-            held = table[at] == states
+            table, piece_states = win.piece(int(states[0]), _PIECE_CAP)
+            order = np.argsort(piece_states)
+            at = order[np.minimum(np.searchsorted(piece_states, states, sorter=order), piece_states.size - 1)]
+            held = piece_states[at] == states
             where[todo[held]] = size + at[held]
-            size += len(rows)
-            pieces.append(rows)
+            size += len(table)
+            pieces.append(table)
             todo, states = todo[~held], states[~held]
     classes = _bisimulation_classes(pieces, lo, points[0].d) if pieces else None
     if classes is None:
@@ -825,24 +822,26 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
     return code
 
 
-def _ball_separation_radius(ball: list[TildePoint], bound: int, start: int) -> tuple[int, tuple | None]:
-    """Least n >= start at which all points of ``ball`` get pairwise distinct
-    radius-n piece codes, compared through their ``_window_keys``.
-    Distinctness is monotone in n, so only still-colliding groups are
-    re-keyed as n grows.  Returns (n, None) or (bound, counterexample pair)
-    when the bound runs out."""
+def _ball_separation_radius(
+    ball: list[TildePoint], words: list[GrayWord], bound: int, start: int
+) -> tuple[int, tuple | None]:
+    """Least n >= start at which all points of ``ball``, over the Gray words
+    ``words``, get pairwise distinct radius-n piece codes, compared through
+    ``_fiber_keys``.  Distinctness is monotone in n, so only still-colliding
+    groups are re-keyed as n grows.  Returns (n, None) or (bound,
+    counterexample pair) when the bound runs out."""
     n = start
-    groups = [ball]
+    groups = [list(range(len(ball)))]
     while True:
-        points = [q for group in groups for q in group]
-        buckets: dict[int, list[TildePoint]] | dict[bytes, list[TildePoint]] = {}
-        for q, key in zip(points, _window_keys(points, -n, n)):
-            buckets.setdefault(key, []).append(q)
+        at = [i for group in groups for i in group]
+        buckets: dict[int, list[int]] | dict[bytes, list[int]] = {}
+        for i, key in zip(at, _fiber_keys([ball[i] for i in at], [words[i] for i in at], -n, n)):
+            buckets.setdefault(key, []).append(i)
         groups = [g for g in buckets.values() if len(g) > 1]
         if not groups:
             return n, None
         if n >= bound:
-            return n, (repr(groups[0][0]), repr(groups[0][1]))
+            return n, (repr(ball[groups[0][0]]), repr(ball[groups[0][1]]))
         n += 1
 
 
@@ -924,17 +923,18 @@ def find_n0(
     distinct points within graph distance ``radius`` have pairwise distinct
     central pieces of radius n.  Each ball is built once, by the packed
     walk of ``schreier_ball``; the replay pass re-keys the balls the search
-    built at the final value in one sweep.  Both passes key a ball's points
-    with ``_window_keys``: a piece is built once per Gray fiber, not once per
-    point, and one partition refinement over a round's pieces decides which
-    points have equal ``piece_code``."""
+    built at the final value in one sweep.  Both passes key a ball's points,
+    projected once, with ``_fiber_keys``: a piece is built once per Gray
+    fiber, not once per point, and one partition refinement over a round's
+    pieces decides which points have equal ``piece_code``."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
     uniq = list(dict.fromkeys(points))
     n0 = 1
     balls = []
     for p in uniq:
         ball = schreier_ball(p, radius)
-        n, witness = _ball_separation_radius(ball, search_bound, start=1)
+        words = [gray_projection(q) for q in ball]
+        n, witness = _ball_separation_radius(ball, words, search_bound, start=1)
         if witness is not None:
             return {
                 "ok": False,
@@ -944,12 +944,12 @@ def find_n0(
                 "counterexample": {"basepoint": repr(p), "pair": witness},
             }
         n0 = max(n0, n)
-        balls.append(ball)
+        balls.append((ball, words))
     collisions = 0
     pairs_checked = 0
     vertices = 0
-    for ball in balls:
-        keys = _window_keys(ball, -n0, n0)
+    for ball, words in balls:
+        keys = _fiber_keys(ball, words, -n0, n0)
         collisions += len(keys) - len(set(keys))
         pairs_checked += len(ball) * (len(ball) - 1) // 2
         vertices += len(ball)

@@ -421,22 +421,22 @@ def test_marginal_shapes_and_containment():
 
 def test_marginal_determinism_sampled():
     """The central code is a function of the two marginal codes."""
+    # The codes of gray_piece(point, 3) and of its marginals are the
+    # piece_code values over their windows, pinned by
+    # test_piece_code_matches_two_pass_build.
     pts = sample_points(CFG, 150, salt="marginals", max_prefix=4, max_period=2)
     rng = rng_for(CFG, "marginals-extra")
     groups = {}
     for p in pts:
-        piece = gray_piece(p, 3)
         # engineered collisions: a deep translate lands in the same class
-        deep = max(piece.slots) + 2
+        deep = max(_Window(p, -3, 3).slots) + 2
         q = with_letters(p, {deep: rng.randrange(1, 5)})
         for point in (p, q):
-            c = gray_piece(point, 3)
-            left, right, _ = marginals(c)
-            groups.setdefault((left.code(), right.code()), set()).add(c.code())
+            marginal_codes = (piece_code(point, -3, 1), piece_code(point, -1, 3))
+            groups.setdefault(marginal_codes, set()).add(piece_code(point, -3, 3))
     assert groups
     collisions = sum(1 for members in groups.values() if len(members) > 1)
     assert collisions == 0
-    assert any(True for _ in groups)
 
 
 def test_root_preimage_connected():
@@ -647,6 +647,63 @@ def test_every_piece_is_minimal():
         assert _moore_class_count(piece) == piece.size, (p, n)
 
 
+def _clique_key(piece, i, kind, neighbour):
+    """The clique lemma's name of vertex i's A- or B-clique: the fiber where
+    its fiber-picking letter (x1, or v of the visible pair) is zero, and its
+    letters with the rewritten ones blanked; plus the letter slots."""
+    k, letters = piece.verts[i]
+    j = first_star(piece.segment[k - piece.lo])
+    slots = [0] if kind == "A" else (
+        [len(piece.slots), len(piece.slots) + 1] if j is OMEGA else [piece.slots.index(j), piece.slots.index(j + 1)]
+    )
+    zero = k if letters[slots[-1]] == 0 else neighbour[kind][k]
+    return (zero, tuple(None if s in slots else x for s, x in enumerate(letters))), slots
+
+
+def test_move_cliques():
+    # Clique lemma, against the reference build: each vertex's A-moves (B-moves)
+    # reach the other members of one clique, the move labelled by a letter
+    # reaching the member with that letter, every member sees the same clique,
+    # and the lemma's key names it.  Fibers' neighbours come from the Gray line
+    # alone: across an A-edge the words differ in bit 1.
+    rng = random.Random("cliques")
+    cases = [(sample_point(rng, 5, max_prefix=4, max_period=2), -2, 3) for _ in range(4)]
+    cases += [(parse_point(text, 5), -3, 2) for text in ("3332[24]", "[23]")]
+    for d, texts in ((8, ("7(1)", "3332[74]", "000[57]")), (9, ("8(1)", "3332[84]", "000[58]"))):
+        cases += [(parse_point(text, d), -1, 1) for text in texts]
+    for p, lo, hi in cases:
+        piece = GrayPiece.build(p, lo, hi)
+        d = piece.d
+        wide = gray_segment(gray_projection(p), lo - 1, hi + 1)
+        neighbour = {"A": {}, "B": {}}
+        for k in range(lo, hi + 1):
+            for k2 in (k - 1, k + 1):
+                same = wide[k2 - lo + 1].bit(1) == wide[k - lo + 1].bit(1)
+                neighbour["B" if same else "A"][k] = k2
+        for kind, labels in (("A", [(c,) for c in range(d)]), ("B", [(u, v) for u in range(1, d) for v in range(d)])):
+            first = 0 if kind == "A" else d
+            cliques = {}
+            for i in range(piece.size):
+                key, slots = _clique_key(piece, i, kind, neighbour)
+                k, letters = piece.verts[i]
+                own = tuple(letters[s] for s in slots)
+                members = {i}
+                for col, letter in enumerate(labels):
+                    t = piece.adj[i][first + col]
+                    # the member sits at the fiber whose word fits its picking letter
+                    fiber = k if (letter[-1] == 0) == (own[-1] == 0) else neighbour[kind][k]
+                    if letter == own or not lo <= fiber <= hi:
+                        assert t == -1, (p, i, kind, letter)
+                        continue
+                    assert t >= 0 and piece.verts[t][0] == fiber, (p, i, kind, letter)
+                    assert tuple(piece.verts[t][1][s] for s in slots) == letter
+                    assert _clique_key(piece, t, kind, neighbour)[0] == key
+                    members.add(t)
+                assert cliques.setdefault(key, members) == members, (p, i, kind)
+            # every vertex lies in exactly one clique of each kind, named by its key
+            assert sum(map(len, cliques.values())) == piece.size
+
+
 def _layers_within(adj, start: int, radius: int) -> list[int]:
     """Vertices within ``radius`` steps of ``start`` in breadth-first order,
     targets in row order; ``adj[v]`` lists targets, -1 for none."""
@@ -727,23 +784,27 @@ def test_schreier_ball_too_wide_to_pack(monkeypatch):
         schreier_ball(point(d), 1)
 
 
-def _toy_pieces() -> list:
-    # Three hand-made pieces with one label: a 2-cycle of equally annotated
-    # vertices, one such vertex with a self-loop, and a 2-cycle whose vertices
-    # differ in x1.
-    ann = [0, 1, 1, 1]
-    cycle = np.array([ann + [1], ann + [0]], dtype=np.int32)
-    loop = np.array([ann + [0]], dtype=np.int32)
-    mixed = np.array([ann + [1], [0, 2, 1, 1, 0]], dtype=np.int32)
-    return [cycle, loop, mixed]
+def _toy_pieces(kind: str) -> list:
+    # Three hand-made pieces in clique form, rows [fiber, x1, u, v, A-clique,
+    # B-clique], every B-clique a single vertex: two A-cliques of a vertex
+    # with x1 = 0 and one with x1 = 1, one such A-clique, and the same two
+    # annotations, each alone in its A-clique.  Kind "B" swaps the roles of
+    # x1 and v, and of the two cliques, so the exact check of each clique
+    # kind has a case only it can refuse.
+    pair = [[0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 0, 1]]
+    two_pairs = np.array(pair + [[0, 0, 1, 1, 1, 2], [0, 1, 1, 1, 1, 3]], dtype=np.int32)
+    apart = np.array([[0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 1]], dtype=np.int32)
+    pieces = [two_pairs, np.array(pair, dtype=np.int32), apart]
+    return pieces if kind == "A" else [r[:, [0, 2, 2, 1, 5, 4]] for r in pieces]
 
 
 def test_bisimulation_classes_find_non_minimal_pieces():
     # The first two toy pieces are bisimilar everywhere, so the first is not
     # minimal; the third is, and shares no class with them.
-    classes = pieces_mod._bisimulation_classes(_toy_pieces(), 0, 5).tolist()
-    assert classes[0] == classes[1] == classes[2]
-    assert len(set(classes[3:])) == 2 and classes[0] not in classes[3:]
+    for kind in "AB":
+        classes = pieces_mod._bisimulation_classes(_toy_pieces(kind), 0, 5).tolist()
+        assert classes[0] == classes[2] == classes[4] and classes[1] == classes[3] == classes[5], kind
+        assert len(set(classes[6:])) == 2 and not set(classes[:6]) & set(classes[6:]), kind
 
 
 def test_hash_collisions_fall_back_to_codes(monkeypatch):
@@ -752,7 +813,8 @@ def test_hash_collisions_fall_back_to_codes(monkeypatch):
     points = _shared_inputs(5, 2, 1)
     monkeypatch.setattr(pieces_mod, "_mix", lambda h, x: np.zeros_like(h))
     # the exact check must refuse the merged classes of the toy pieces
-    assert pieces_mod._bisimulation_classes(_toy_pieces(), 0, 5) is None
+    for kind in "AB":
+        assert pieces_mod._bisimulation_classes(_toy_pieces(kind), 0, 5) is None, kind
     for n in (1, 2):
         codes = [piece_code(q, -n, n) for q in points]
         assert _window_keys(points, -n, n) == codes, n
