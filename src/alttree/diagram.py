@@ -42,8 +42,9 @@ from .points import (
     Periodic,
     TildePoint,
     ZeroPair,
+    _periodic,
+    _zero_pair,
     act,
-    periodic_point,
     zero_pair_point,
 )
 
@@ -165,6 +166,14 @@ class PathPrefix:
     ``end`` is None exactly for the empty path (the whole space).  Any
     label word over 0..d-1 combined with any vertex names a valid,
     nonempty cylinder.
+
+    The public constructors (``PathPrefix(...)``, :func:`path`,
+    :func:`parse_path`) check every field.  ``_unchecked`` skips the
+    checks and is only for fields valid by construction: the paths that
+    ``encode``, ``children``, ``parent``, ``image_of_cylinder``,
+    ``clopen``, ``complement``, ``tower``, ``full_space`` and
+    ``roundtrip_audit`` build from letters, vertices and edges they
+    already hold.
     """
 
     d: int
@@ -184,6 +193,14 @@ class PathPrefix:
             if not self.labels:
                 raise ValueError("empty label word must end at the top")
 
+    @classmethod
+    def _unchecked(cls, d: int, labels: tuple[int, ...], end: Vertex | None) -> "PathPrefix":
+        """Wrap fields that are a valid path by construction."""
+        p = object.__new__(cls)
+        # one dict update costs less than three object.__setattr__ calls
+        p.__dict__.update(d=d, labels=labels, end=end)
+        return p
+
     @property
     def depth(self) -> int:
         return len(self.labels)
@@ -196,7 +213,7 @@ class PathPrefix:
 
     def children(self) -> tuple["PathPrefix", ...]:
         return tuple(
-            PathPrefix(self.d, self.labels + (lab,), u)
+            PathPrefix._unchecked(self.d, self.labels + (lab,), u)
             for lab, u in out_edges(self.d, self.end)
         )
 
@@ -204,7 +221,7 @@ class PathPrefix:
         if self.end is None:
             raise ValueError("the top path has no parent")
         ch = self.chain()
-        return PathPrefix(
+        return PathPrefix._unchecked(
             self.d, self.labels[:-1], ch[-2] if len(ch) >= 2 else None
         )
 
@@ -237,35 +254,30 @@ def _sort_key(p: PathPrefix):
 # encoding points as paths
 
 
-def _next_visible(p: TildePoint, n: int) -> tuple[int, int]:
-    """First nonzero letter strictly after position ``n`` and its
-    follower; doubled points fall back to the formal pair."""
-    pre = p.prefix
-    if isinstance(p.tail, ZeroPair):
-        for i in range(n, len(pre)):
-            if pre[i] != 0:
-                return pre[i], (pre[i + 1] if i + 1 < len(pre) else 0)
-        return p.tail.a, p.tail.b
-    # a periodic tail shows a nonzero letter within one period
-    for pos in range(n + 1, len(pre) + 2 * len(p.tail.word) + n + 2):
-        x = p.letter(pos)
-        if x != 0:
-            return x, p.letter(pos + 1)
-    raise AssertionError("periodic tail with no nonzero letter")
-
-
 def encode(p: TildePoint, depth: int) -> PathPrefix:
     """The depth-``depth`` path of ``p``: its first letters as labels,
     plus the vertex recording zero-ness of the next letter and the next
-    visible pair."""
+    visible pair (the first nonzero letter after the labels and its
+    follower; doubled points fall back to the formal pair)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
-        return PathPrefix(p.d, (), None)
-    labels = p.letters(depth)
-    a, b = _next_visible(p, depth)
-    flag = 1 if p.letter(depth + 1) != 0 else 0
-    return PathPrefix(p.d, labels, (a, b, flag))
+        return PathPrefix._unchecked(p.d, (), None)
+    # past both the prefix and the labels, one period shows a nonzero
+    # letter, so the visible pair lies within m + 1 letters
+    m = max(len(p.prefix), depth)
+    if isinstance(p.tail, Periodic):
+        m += len(p.tail.word)
+    seq = p.letters(m + 1)
+    for i in range(depth, m):
+        if seq[i] != 0:
+            a, b = seq[i], seq[i + 1]
+            break
+    else:
+        if isinstance(p.tail, Periodic):
+            raise AssertionError("periodic tail with no nonzero letter")
+        a, b = p.tail.a, p.tail.b
+    return PathPrefix._unchecked(p.d, seq[:depth], (a, b, 1 if seq[depth] != 0 else 0))
 
 
 def decode(eta: PathPrefix, tail: TildePoint | None = None) -> TildePoint:
@@ -280,17 +292,17 @@ def decode(eta: PathPrefix, tail: TildePoint | None = None) -> TildePoint:
     d, labels, end = eta.d, eta.labels, eta.end
     if tail is None:
         if end is None:
-            return zero_pair_point(d, (), 1, 0)
+            return _zero_pair(d, (), 1, 0)
         a, b, flag = end
         if flag:
-            return periodic_point(d, labels, (a, b))
-        return zero_pair_point(d, labels, a, b)
+            return _periodic(d, labels, (a, b))
+        return _zero_pair(d, labels, a, b)
     if tail.d != d:
         raise ValueError("degree mismatch")
     if isinstance(tail.tail, ZeroPair):
-        q = zero_pair_point(d, labels + tail.prefix, tail.tail.a, tail.tail.b)
+        q = _zero_pair(d, labels + tail.prefix, tail.tail.a, tail.tail.b)
     else:
-        q = periodic_point(d, labels + tail.prefix, tail.tail.word)
+        q = _periodic(d, labels + tail.prefix, tail.tail.word)
     if encode(q, len(labels)) != eta:
         raise ValueError("tail inconsistent with the end vertex")
     return q
@@ -403,7 +415,7 @@ class ClopenSet:
                 if key in ancestors:
                     stack.append(key)
                 else:
-                    out.append(PathPrefix(d, key[0], key[1]))
+                    out.append(PathPrefix._unchecked(d, key[0], key[1]))
         return clopen(d, out)
 
     def is_disjoint(self, other: "ClopenSet") -> bool:
@@ -472,7 +484,7 @@ def clopen(d: int, paths) -> ClopenSet:
             have = {(m.labels[-1], m.end) for m in members}
             if have == need:
                 ps -= members
-                ps.add(PathPrefix(d, labels, end))
+                ps.add(PathPrefix._unchecked(d, labels, end))
                 merged = True
         if not merged:
             break
@@ -480,7 +492,7 @@ def clopen(d: int, paths) -> ClopenSet:
 
 
 def full_space(d: int) -> ClopenSet:
-    return ClopenSet(d, (PathPrefix(d, (), None),))
+    return ClopenSet(d, (PathPrefix._unchecked(d, (), None),))
 
 
 def empty_set(d: int) -> ClopenSet:
@@ -506,7 +518,7 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth_cap: int = 64) -> Clop
     sec = section_word(word, eta.labels)
     if is_identity(sec, d):
         return ClopenSet(
-            d, (PathPrefix(d, apply_word(word, eta.labels), eta.end),)
+            d, (PathPrefix._unchecked(d, apply_word(word, eta.labels), eta.end),)
         )
     if eta.end is not None:
         nuc = as_nucleus(sec, d)
@@ -514,7 +526,7 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth_cap: int = 64) -> Clop
             a, b, flag = eta.end
             v2 = (nuc.rho(a), nuc.sigma(a)(b), flag)
             return ClopenSet(
-                d, (PathPrefix(d, apply_word(word, eta.labels), v2),)
+                d, (PathPrefix._unchecked(d, apply_word(word, eta.labels), v2),)
             )
     if _depth_cap <= 0:
         raise ResourceCap("image recursion exceeded the depth cap")
@@ -540,7 +552,7 @@ def tower(d: int, v: Vertex, n: int, cap: int = 200_000) -> tuple[PathPrefix, ..
     if d**n > cap:
         raise ResourceCap(f"tower would hold {d ** n} paths")
     return tuple(
-        PathPrefix(d, labels, v)
+        PathPrefix._unchecked(d, labels, v)
         for labels in itertools.product(range(d), repeat=n)
     )
 
@@ -556,10 +568,10 @@ def tau_apply(gamma: PathPrefix, gamma2: PathPrefix, p: TildePoint) -> TildePoin
     n = len(gamma.labels)
     rest = p.prefix[n:]
     if isinstance(p.tail, ZeroPair):
-        return zero_pair_point(p.d, gamma2.labels + rest, p.tail.a, p.tail.b)
+        return _zero_pair(p.d, gamma2.labels + rest, p.tail.a, p.tail.b)
     per = p.tail.word
     k = max(0, n - len(p.prefix)) % len(per)
-    return periodic_point(p.d, gamma2.labels + rest, per[k:] + per[:k])
+    return _periodic(p.d, gamma2.labels + rest, per[k:] + per[:k])
 
 
 def path_counts(d: int, n: int) -> dict[Vertex, int]:
@@ -796,14 +808,14 @@ def roundtrip_audit(d: int, max_depth: int, cap: int = 40_000_000) -> dict:
     if total > cap:
         raise ResourceCap(f"{total} paths exceed the audit cap")
     checked, failures = 0, []
-    top = PathPrefix(d, (), None)
+    top = PathPrefix._unchecked(d, (), None)
     if encode(decode(top), 0) != top:
         failures.append(top.text())
     checked += 1
     for v in vertices(d):
         for n in range(1, max_depth + 1):
             for labels in itertools.product(range(d), repeat=n):
-                eta = PathPrefix(d, labels, v)
+                eta = PathPrefix._unchecked(d, labels, v)
                 if encode(decode(eta), n) != eta:
                     failures.append(eta.text())
                 checked += 1

@@ -633,7 +633,9 @@ class _Window:
                 z = np.where(zero, ko, other[ko])
                 base = low & ~bits[ko]
                 keys, at = np.unique((z << shift) | base, return_index=True)
-                at = at[np.isin(keys, met[k], assume_unique=True, invert=True)]
+                prev = met[k]  # sorted and unique, as keys are
+                if prev.size:
+                    at = at[prev[np.minimum(np.searchsorted(prev, keys), prev.size - 1)] != keys]
                 met[k] = keys
                 fiber = np.where(member_zero, z[at, None], np.where(zero, other[ko], ko)[at, None])
                 state = (fiber << shift) | base[at, None] | member_bits[ko[at]]

@@ -146,27 +146,36 @@ class TildePoint:
 
 def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
-    for L in range(1, n + 1):
+    for L in range(1, n // 2 + 1):
         if n % L == 0 and word == word[:L] * (n // L):
             return word[:L]
     return word
 
 
 def periodic_point(d: int, prefix, period) -> TildePoint:
-    prefix = tuple(prefix)
-    period = _primitive(tuple(period))
-    if not period or all(x == 0 for x in period):
-        raise ValueError("period must contain a nonzero letter")
+    prefix, period = tuple(prefix), tuple(period)
     for x in prefix + period:
         if not 0 <= x < d:
             raise ValueError(f"letter out of range: {x}")
-    # pull the period back over the prefix as far as it matches
-    prefix = list(prefix)
-    period = list(period)
-    while prefix and prefix[-1] == period[-1]:
-        prefix.pop()
-        period.insert(0, period.pop())
-    return TildePoint(d, tuple(prefix), Periodic(tuple(period)))
+    return _periodic(d, prefix, period)
+
+
+def _periodic(d: int, prefix: tuple[int, ...], period: tuple[int, ...]) -> TildePoint:
+    """The normal form of ``prefix . (period)^inf``, without the letter
+    checks of :func:`periodic_point`.  Only for letters valid by
+    construction: ``act``, ``diagram.decode`` and ``diagram.tau_apply``
+    pass letters read from valid points and paths."""
+    period = _primitive(period)
+    if not any(period):
+        raise ValueError("period must contain a nonzero letter")
+    # pull the period back over the prefix as far as it matches: k
+    # letters back, the period is rotated right by k
+    n, L = len(prefix), len(period)
+    k = 0
+    while k < n and prefix[n - 1 - k] == period[L - 1 - k % L]:
+        k += 1
+    r = L - k % L
+    return TildePoint(d, prefix[: n - k], Periodic(period[r:] + period[:r]))
 
 
 def zero_pair_point(d: int, prefix, a: int, b: int) -> TildePoint:
@@ -178,6 +187,13 @@ def zero_pair_point(d: int, prefix, a: int, b: int) -> TildePoint:
     for x in prefix:
         if not 0 <= x < d:
             raise ValueError(f"letter out of range: {x}")
+    return _zero_pair(d, prefix, a, b)
+
+
+def _zero_pair(d: int, prefix: tuple[int, ...], a: int, b: int) -> TildePoint:
+    """The normal form of ``prefix . 0^inf [a b]``, without the letter
+    checks of :func:`zero_pair_point`.  Only for letters valid by
+    construction, from the same callers as :func:`_periodic`."""
     while prefix and prefix[-1] == 0:
         prefix = prefix[:-1]
     return TildePoint(d, prefix, ZeroPair(a, b))
@@ -250,7 +266,7 @@ def act(word: Word, p: TildePoint) -> TildePoint:
         w = section_word(w, (x,))
     if isinstance(p.tail, Periodic):
         ys, _, start = section_orbit(w, p.tail.word)
-        return periodic_point(d, tuple(out) + tuple(ys[:start]), tuple(ys[start:]))
+        return _periodic(d, tuple(out) + tuple(ys[:start]), tuple(ys[start:]))
     # doubled point: stream zeros until the section word repeats
     ys, sections, start = section_orbit(w, (0,))
     if any(y != 0 for y in ys[start:]):
@@ -259,7 +275,7 @@ def act(word: Word, p: TildePoint) -> TildePoint:
     if stable is None or (isinstance(stable, AGen) and not stable.pi.is_identity() and stable.pi(0) != 0):
         raise AssertionError("section did not stabilize to a recursion element on the zero ray")
     a, b = stable.apply((p.tail.a, p.tail.b))
-    return zero_pair_point(d, tuple(out) + tuple(ys[:start]), a, b)
+    return _zero_pair(d, tuple(out) + tuple(ys[:start]), a, b)
 
 
 def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int) -> Gen:

@@ -53,6 +53,7 @@ from alttree.points import (
     act,
     parse_point,
     periodic_point,
+    with_letters,
     zero_pair_point,
 )
 
@@ -124,6 +125,14 @@ def test_path_validation_errors():
         PathPrefix(D, (), (1, 0, 0))
     with pytest.raises(ValueError):
         PathPrefix(D, (0,), (0, 3, 1))
+    with pytest.raises(ValueError):
+        PathPrefix(D, (0, -1), (1, 0, 0))
+    with pytest.raises(ValueError):
+        PathPrefix(D, (0,), (1, 0, 2))
+    with pytest.raises(ValueError):
+        path(D, (0, 5), "10*")
+    with pytest.raises(ValueError):
+        parse_path("07@10*", D)
 
 
 def test_path_counts_bruteforce_and_transfer_matrix():
@@ -194,6 +203,20 @@ def test_roundtrip_exhaustive_small():
     aud = roundtrip_audit(D, 4)
     assert aud["ok"], aud["failures"][:5]
     assert aud["checked"] == 1 + sum(40 * 5**n for n in range(1, 5))
+
+
+def test_roundtrip_audit_reports_a_corrupted_decode(monkeypatch):
+    # the audit must call decode on every path: one wrong letter shows
+    target, real = path(D, (3, 1), "21*"), decode
+
+    def corrupt(eta, tail=None):
+        q = real(eta, tail)
+        return with_letters(q, {1: (q.letter(1) + 1) % D}) if eta == target else q
+
+    monkeypatch.setattr("alttree.diagram.decode", corrupt)
+    aud = roundtrip_audit(D, 2)
+    assert aud["checked"] == 1 + sum(40 * 5**n for n in range(1, 3))
+    assert not aud["ok"] and aud["failures"] == [target.text()]
 
 
 def test_encode_reads_letters_and_next_visible():

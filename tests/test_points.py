@@ -53,6 +53,18 @@ def test_zero_pair_canonicalization():
         zero_pair_point(D, (), 0, 3)
 
 
+@pytest.mark.parametrize("bad", [D, -1])
+def test_constructors_reject_out_of_range_letters(bad):
+    with pytest.raises(ValueError):
+        periodic_point(D, (1, bad), (2,))
+    with pytest.raises(ValueError):
+        periodic_point(D, (1,), (2, bad))
+    with pytest.raises(ValueError):
+        zero_pair_point(D, (1, bad), 2, 0)
+    with pytest.raises(ValueError):
+        zero_pair_point(D, (1,), 2, bad)
+
+
 def test_letter_access():
     p = periodic_point(D, (2,), (3, 1))
     assert [p.letter(i) for i in range(1, 6)] == [2, 3, 1, 3, 1]

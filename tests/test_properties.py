@@ -12,8 +12,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from alttree.core import Config, equals, inverse_word, reduce_word  # noqa: E402
-from alttree.diagram import clopen, encode, image_of_clopen  # noqa: E402
-from alttree.points import act, periodic_point, zero_pair_point  # noqa: E402
+from alttree.diagram import PathPrefix, clopen, decode, encode, image_of_clopen  # noqa: E402
+from alttree.points import ZeroPair, act, periodic_point, zero_pair_point  # noqa: E402
 
 CFG = Config.default()
 D = CFG.d
@@ -45,6 +45,27 @@ PROPERTY = settings(max_examples=40, deadline=None)
 def test_act_is_a_group_action(u, v, p):
     assert act(u + v, p) == act(u, act(v, p))
     assert act(inverse_word(u), act(u, p)) == p
+
+
+def _rebuilt(q):
+    """``q`` rebuilt by the checked constructors from its letters unrolled
+    past the prefix, so that the rebuild must normalise them again."""
+    if isinstance(q.tail, ZeroPair):
+        return zero_pair_point(q.d, q.prefix + (0, 0), q.tail.a, q.tail.b)
+    per = q.tail.word
+    k = (len(per) + 1) % len(per)
+    return periodic_point(q.d, q.letters(len(q.prefix) + len(per) + 1), per[k:] + per[:k])
+
+
+@PROPERTY
+@given(points, words, st.integers(0, 8))
+def test_unchecked_constructions_equal_their_checked_rebuilds(p, w, n):
+    # encode, decode and act build without the public checks; what they
+    # build must pass those checks and be in normal form
+    e = encode(p, n)
+    assert PathPrefix(e.d, e.labels, e.end) == e
+    for q in (decode(e), act(w, p)):
+        assert _rebuilt(q) == q
 
 
 @PROPERTY
