@@ -156,7 +156,10 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-def perm_closure(perms: list[Perm], cap: int = 500_000) -> set[Perm]:
+_CLOSURE_CAP = 500_000  # elements of one permutation closure
+
+
+def perm_closure(perms: list[Perm]) -> set[Perm]:
     """The subgroup generated by ``perms``, as an explicit set."""
     if not perms:
         return set()
@@ -172,8 +175,8 @@ def perm_closure(perms: list[Perm], cap: int = 500_000) -> set[Perm]:
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
-                    if len(seen) > cap:
-                        raise ResourceCap(f"permutation closure exceeded {cap} elements")
+                    if len(seen) > _CLOSURE_CAP:
+                        raise ResourceCap(f"permutation closure exceeded {_CLOSURE_CAP} elements")
         frontier = nxt
     return seen
 
@@ -487,15 +490,18 @@ def equals(u: Word, v: Word, d: int | None = None) -> bool:
     return is_identity(reduce_word(tuple(u) + inverse_word(v)), d)
 
 
-def order_of(word: Word, bound: int = 360) -> int:
-    """The order of the word as an automorphism; ResourceCap above ``bound``."""
+_ORDER_BOUND = 360  # powers order_of tries
+
+
+def order_of(word: Word) -> int:
+    """The order of the word as an automorphism; ResourceCap above ``_ORDER_BOUND``."""
     word = reduce_word(word)
     power: Word = ()
-    for n in range(1, bound + 1):
+    for n in range(1, _ORDER_BOUND + 1):
         power = reduce_word(power + word)
         if is_identity(power):
             return n
-    raise ResourceCap(f"order exceeds {bound}")
+    raise ResourceCap(f"order exceeds {_ORDER_BOUND}")
 
 
 def as_nucleus(word: Word, d: int) -> Gen | None:

@@ -77,9 +77,14 @@ __all__ = [
     "regularity_check",
     "roundtrip_audit",
     "full_connectivity_steps",
-    "diagram_to_json",
-    "diagram_to_dot",
 ]
+
+_REFINE_CAP = 500_000  # cylinders of one refine_to_depth
+_TOWER_CAP = 200_000  # paths of one tower
+_CONNECTIVITY_BOUND = 8  # path lengths full_connectivity_steps tries
+_SECTION_WORDS_CAP = 100_000  # words of one level of nontrivial_section_words
+_DEPTH_BOUND = 64  # tree levels contraction_depth and regularity_check search
+_AUDIT_CAP = 40_000_000  # paths of one roundtrip_audit
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +431,7 @@ class ClopenSet:
         keys_self = {(p.labels, p.end) for p in self.cylinders}
         return not any(_covered_by(q, keys_self) for q in other.cylinders)
 
-    def refine_to_depth(self, depth: int, cap: int = 500_000) -> frozenset:
+    def refine_to_depth(self, depth: int) -> frozenset:
         """The same set written as raw cylinders all at the given depth
         (a frozenset of paths, not a normalized ClopenSet).  Exponential
         in depth; meant for small cross-checks only."""
@@ -440,7 +445,7 @@ class ClopenSet:
                 out.append(c)
             else:
                 stack.extend(c.children())
-            if len(out) + len(stack) > cap:
+            if len(out) + len(stack) > _REFINE_CAP:
                 raise ResourceCap("refinement exceeded the cylinder cap")
         return frozenset(out)
 
@@ -511,10 +516,13 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth_cap: int = 64) -> Clop
     equal to one recursion generator moves every member's visible pair
     the same way, so only the end vertex is relabelled.  Anything else
     is pushed one level down and recursed; shrinking sections make this
-    bottom out.
+    bottom out.  A generator of another degree than the path's raises
+    ValueError.
     """
     d = eta.d
     word = reduce_word(word)
+    if any(g.d != d for g in word):
+        raise ValueError("degree mismatch")
     sec = section_word(word, eta.labels)
     if is_identity(sec, d):
         return ClopenSet(
@@ -547,10 +555,14 @@ def image_of_clopen(word: Word, C: ClopenSet) -> ClopenSet:
 # towers and prefix exchanges
 
 
-def tower(d: int, v: Vertex, n: int, cap: int = 200_000) -> tuple[PathPrefix, ...]:
+def tower(d: int, v: Vertex, n: int) -> tuple[PathPrefix, ...]:
     """All depth-``n`` paths ending at ``v`` — one per label word."""
-    if d**n > cap:
+    if d**n > _TOWER_CAP:
         raise ResourceCap(f"tower would hold {d ** n} paths")
+    if n < 1:
+        raise ValueError("levels start at 1")
+    if v not in vertices(d):
+        raise ValueError(f"bad vertex: {v}")
     return tuple(
         PathPrefix._unchecked(d, labels, v)
         for labels in itertools.product(range(d), repeat=n)
@@ -599,18 +611,18 @@ def transfer_matrix(d: int) -> dict[tuple[Vertex, Vertex], int]:
     return out
 
 
-def full_connectivity_steps(d: int, bound: int = 8) -> int:
+def full_connectivity_steps(d: int) -> int:
     """The least k with a length-k path between every ordered vertex
     pair.  Starred vertices already see everything in two steps; the
     zero-flagged ones only fan out after leaving their zero run, which
     costs one more level."""
     reach = {v: {u for _l, u in out_edges(d, v)} for v in vertices(d)}
     cur = {v: {v} for v in vertices(d)}
-    for k in range(1, bound + 1):
+    for k in range(1, _CONNECTIVITY_BOUND + 1):
         cur = {v: {w for u in cur[v] for w in reach[u]} for v in cur}
         if all(len(s) == len(vertices(d)) for s in cur.values()):
             return k
-    raise ResourceCap(f"not fully connected within {bound} steps")
+    raise ResourceCap(f"not fully connected within {_CONNECTIVITY_BOUND} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +674,7 @@ def is_identity_on_vertex(word: Word, v: Vertex | None, d: int | None = None) ->
 # audits
 
 
-def nontrivial_section_words(word: Word, d: int, level: int, cap: int = 100_000) -> list[tuple]:
+def nontrivial_section_words(word: Word, d: int, level: int) -> list[tuple]:
     """Label words of the given length at which the word has a
     nontrivial section.  Grown level by level, so the cost tracks the
     number of bad words rather than the full level size."""
@@ -677,7 +689,7 @@ def nontrivial_section_words(word: Word, d: int, level: int, cap: int = 100_000)
                 t = section_word(s, (x,))
                 if t and not is_identity(t, d):
                     nxt[w + (x,)] = t
-                if len(nxt) > cap:
+                if len(nxt) > _SECTION_WORDS_CAP:
                     raise ResourceCap("too many nontrivial-section words")
         live = nxt
     return sorted(live)
@@ -736,7 +748,7 @@ def bounded_type_audit(gen: Gen, max_level: int, d: int | None = None) -> dict:
     }
 
 
-def contraction_depth(word: Word, d: int | None = None, bound: int = 64) -> int:
+def contraction_depth(word: Word, d: int | None = None) -> int:
     """The first positive level at which every section of the word
     collapses to a single generator (or the identity); identity words
     report 0.  Sections of single generators stay that way, so the
@@ -749,16 +761,16 @@ def contraction_depth(word: Word, d: int | None = None, bound: int = 64) -> int:
     if is_identity(word, d):
         return 0
     live = {word}
-    for n in range(1, bound + 1):
+    for n in range(1, _DEPTH_BOUND + 1):
         live = {
             reduce_word(section_word(w, (x,))) for w in live for x in range(d)
         }
         if all(as_nucleus(w, d) is not None for w in live):
             return n
-    raise ResourceCap(f"sections did not collapse within {bound} levels")
+    raise ResourceCap(f"sections did not collapse within {_DEPTH_BOUND} levels")
 
 
-def regularity_check(word: Word, p: TildePoint, bound: int = 64) -> dict:
+def regularity_check(word: Word, p: TildePoint) -> dict:
     """For a word fixing ``p``: the first depth whose cylinder around
     ``p`` is fixed pointwise, with the witness path and its section.
 
@@ -769,7 +781,7 @@ def regularity_check(word: Word, p: TildePoint, bound: int = 64) -> dict:
     word = reduce_word(word)
     if act(word, p) != p:
         raise ValueError("the word does not fix the point")
-    for n in range(bound + 1):
+    for n in range(_DEPTH_BOUND + 1):
         eta = encode(p, n)
         sec = section_word(word, eta.labels)
         if not is_identity_on_vertex(sec, eta.end, d):
@@ -794,18 +806,18 @@ def regularity_check(word: Word, p: TildePoint, bound: int = 64) -> dict:
             "section_kind": kind,
             "verified": True,
         }
-    raise ResourceCap(f"no pointwise-fixed cylinder within depth {bound}")
+    raise ResourceCap(f"no pointwise-fixed cylinder within depth {_DEPTH_BOUND}")
 
 
 # ---------------------------------------------------------------------------
 # exhaustive encode/decode audit
 
 
-def roundtrip_audit(d: int, max_depth: int, cap: int = 40_000_000) -> dict:
+def roundtrip_audit(d: int, max_depth: int) -> dict:
     """Check encode(decode(path)) == path for every path of every depth
     up to ``max_depth``; returns the number checked and any failures."""
     total = sum(2 * (d - 1) * d * d**n for n in range(1, max_depth + 1)) + 1
-    if total > cap:
+    if total > _AUDIT_CAP:
         raise ResourceCap(f"{total} paths exceed the audit cap")
     checked, failures = 0, []
     top = PathPrefix._unchecked(d, (), None)
@@ -825,51 +837,3 @@ def roundtrip_audit(d: int, max_depth: int, cap: int = 40_000_000) -> dict:
         "failures": failures,
         "ok": not failures,
     }
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def diagram_to_json(d: int, levels: int = 3) -> dict:
-    return {
-        "d": d,
-        "levels": levels,
-        "vertices": [vertex_text(v) for v in vertices(d)],
-        "top_edges": [
-            {"label": lab, "to": vertex_text(u)} for lab, u in out_edges(d, None)
-        ],
-        "level_edges": [
-            {"from": vertex_text(v), "label": lab, "to": vertex_text(u)}
-            for v in vertices(d)
-            for lab, u in out_edges(d, v)
-        ],
-    }
-
-
-def diagram_to_dot(d: int, levels: int = 3) -> str:
-    lines = [
-        "digraph pathspace {",
-        "  rankdir=TB;",
-        '  node [shape=box, fontname="monospace"];',
-        '  "L0_top" [label="top"];',
-        "  { rank=same; \"L0_top\" }",
-    ]
-    for n in range(1, levels + 1):
-        names = [f'"L{n}_{vertex_text(v)}"' for v in vertices(d)]
-        for v in vertices(d):
-            lines.append(
-                f'  "L{n}_{vertex_text(v)}" [label="{vertex_text(v)}"];'
-            )
-        lines.append("  { rank=same; " + "; ".join(names) + " }")
-    for lab, u in out_edges(d, None):
-        lines.append(f'  "L0_top" -> "L1_{vertex_text(u)}" [label="{lab}"];')
-    for n in range(1, levels):
-        for v in vertices(d):
-            for lab, u in out_edges(d, v):
-                lines.append(
-                    f'  "L{n}_{vertex_text(v)}" -> "L{n + 1}_{vertex_text(u)}"'
-                    f' [label="{lab}"];'
-                )
-    lines.append("}")
-    return "\n".join(lines)

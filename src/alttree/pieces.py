@@ -89,10 +89,6 @@ __all__ = [
     "piece_code",
     "schreier_ball",
     "descriptor_labels",
-    "piece_to_dot",
-    "piece_to_json",
-    "level_to_dot",
-    "level_to_json",
 ]
 
 # Audited outcome of ``find_n0`` at radius 8 over the default seeded corpus
@@ -105,6 +101,10 @@ __all__ = [
 #   cfg = Config.default(5)
 #   find_n0(cfg, sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2), radius=8)
 SEPARATION_RADIUS = 6
+
+_LEVEL_CAP = 6  # word length of a level graph
+_LENGTH_CAP = 17  # segment length of a central piece
+_PIECE_CAP = 2_000_000  # vertices per piece
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +152,11 @@ class LevelGraph:
         return traces.count(traces[0])
 
 
-def level_graph(cfg: Config, n: int, cap: int = 6) -> LevelGraph:
+def level_graph(cfg: Config, n: int) -> LevelGraph:
     if n < 1:
         raise ValueError("level must be positive")
-    if n > cap:
-        raise ResourceCap(f"level graphs are capped at n={cap}")
+    if n > _LEVEL_CAP:
+        raise ResourceCap(f"level graphs are capped at n={_LEVEL_CAP}")
     # lexicographic order is the index order of ``LevelGraph.word_of``
     index = {w: i for i, w in enumerate(itertools.product(range(cfg.d), repeat=n))}
     adj = {name: tuple(index[g.apply(w)] for w in index) for name, g in cfg.gens}
@@ -233,7 +233,7 @@ class GrayPiece:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def build(p: TildePoint, lo: int, hi: int, cap: int = 2_000_000) -> "GrayPiece":
+    def build(p: TildePoint, lo: int, hi: int) -> "GrayPiece":
         d = p.d
         win = _Window(p, lo, hi)
         base_letters = win.letters(p)
@@ -269,8 +269,8 @@ class GrayPiece:
                 if state is not None and state not in index:
                     index[state] = len(verts)
                     verts.append(state)
-                    if len(verts) > cap:
-                        raise ResourceCap(f"piece exceeded {cap} vertices: {len(verts)} reached")
+                    if len(verts) > _PIECE_CAP:
+                        raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {len(verts)} reached")
                 row.append(-1 if state is None else index[state])
             adj.append(tuple(row))
         return GrayPiece(
@@ -404,12 +404,12 @@ def _bfs_trace(start: int, adj, annotation) -> bytes:
     return h.digest()
 
 
-def gray_piece(p: TildePoint, n: int, cap_length: int = 17) -> GrayPiece:
+def gray_piece(p: TildePoint, n: int) -> GrayPiece:
     """The central piece of radius ``n`` (segment length 2n+1) around ``p``."""
     if n < 0:
         raise ValueError("radius must be nonnegative")
-    if 2 * n + 1 > cap_length:
-        raise ResourceCap(f"piece length {2 * n + 1} exceeds the cap {cap_length}")
+    if 2 * n + 1 > _LENGTH_CAP:
+        raise ResourceCap(f"piece length {2 * n + 1} exceeds the cap {_LENGTH_CAP}")
     return GrayPiece.build(p, -n, n)
 
 
@@ -498,9 +498,6 @@ def is_quasi_level(piece: GrayPiece) -> int | None:
 # the separation constant
 
 
-_PIECE_CAP = 2_000_000  # vertices per packed piece
-
-
 class _Window:
     """The packing of piece states over one Gray window into machine ints.
 
@@ -560,13 +557,13 @@ class _Window:
         cols = [((states >> (self.bits * i)) & mask).tolist() for i in range(self.shift // self.bits)]
         return list(zip(*cols))
 
-    def piece(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    def piece(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """The piece of packed state ``start`` in clique form, as (table,
         states): row i of the int32 table is ``[fiber, x1, u, v, A-clique,
         B-clique]`` of the i-th vertex in breadth-first order from ``start``,
-        and states[i] is its packed state.  More than ``cap`` vertices raise
-        ``ResourceCap``."""
-        walk = list(self.layers(start, cap))
+        and states[i] is its packed state.  More than ``_PIECE_CAP`` vertices
+        raise ``ResourceCap``."""
+        walk = list(self.layers(start))
         states = np.concatenate([step[0] for step in walk])
         ko = states >> self.shift
         table = np.empty((states.size, 6), dtype=np.int32)
@@ -577,12 +574,12 @@ class _Window:
             table[members[members >= 0], 3 + kind] = np.nonzero(members >= 0)[0]
         return table, states
 
-    def rows(self, start: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """``piece`` with each table row replaced by the int32 trace row
         ``[fiber, x1, u, v, target per label]``: by the clique lemma the
         targets are the other members of the vertex's A-clique by ``x1``,
         then of its B-clique by ``(u, v)``."""
-        table, states = self.piece(start, cap)
+        table, states = self.piece(start)
         n = len(table)
         rows = [table[:, :4]]
         for clique, letter, members in _clique_contents(table, self.d, np.arange(n, dtype=np.int32)):
@@ -590,7 +587,7 @@ class _Window:
             rows[-1][np.arange(n), letter] = -1  # no move keeps the letter
         return np.hstack(rows), states
 
-    def layers(self, start: int, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    def layers(self, start: int) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
         """Walk the piece of packed state ``start`` one breadth-first layer at
         a time.  Each step yields the packed states of the next layer, then
         the member tables of the A- and B-cliques first met in the layer
@@ -598,9 +595,9 @@ class _Window:
         letter in label order, and the member's number there, or -1 for a
         fiber outside the window.  The last step yields no states.  A layer
         is expanded only when the walk is resumed after it.  More than
-        ``cap`` vertices raise ``ResourceCap``.  A clique that meets a layer
-        was expanded already exactly when it meets the layer before; if not,
-        it is expanded from its first vertex, and its members lie in this
+        ``_PIECE_CAP`` vertices raise ``ResourceCap``.  A clique that meets a
+        layer was expanded already exactly when it meets the layer before; if
+        not, it is expanded from its first vertex, and its members lie in this
         layer or the next.  A fresh vertex is numbered by its first place,
         its clique's first vertex's place times d**2 plus its label's index:
         ``GrayPiece.build``'s order."""
@@ -653,8 +650,8 @@ class _Window:
             first += layer.size
             ids[fresh] = first + at.argsort().argsort()[which]
             layer = cand[fresh[np.sort(at)]]
-            if first + layer.size > cap:
-                raise ResourceCap(f"piece exceeded {cap} vertices: {first + layer.size} reached")
+            if first + layer.size > _PIECE_CAP:
+                raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {first + layer.size} reached")
             ids = ids.astype(np.int32)
             members = [ids[:split].reshape(-1, d), ids[split:].reshape(-1, d * (d - 1))]
 
@@ -684,7 +681,7 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     win = _Window(p, -radius, radius)
     if not win.fits():
         raise ResourceCap(f"a radius-{radius} ball needs {win.width}-bit packed states; at most 62 fit")
-    walk = islice(win.layers(win.state(p), _PIECE_CAP), radius + 1)
+    walk = islice(win.layers(win.state(p)), radius + 1)
     states = np.concatenate([layer for layer, _, _ in walk])
     return [win.point(p, letters) for letters in win.unpack(states)]
 
@@ -748,20 +745,16 @@ def _bisimulation_classes(pieces: list[np.ndarray], lo: int, d: int) -> np.ndarr
     return colour
 
 
-def _window_keys(points: list[TildePoint], lo: int, hi: int) -> list[int] | list[bytes]:
-    """One key per point, shared exactly by points with equal ``piece_code(q, lo, hi)``."""
-    return _fiber_keys(points, [gray_projection(q) for q in points], lo, hi)
-
-
 def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: int) -> list[int] | list[bytes]:
-    """``_window_keys`` of points over the Gray words ``words``.  Points over
-    one Gray word share the window, so the piece built from one of them holds
-    the state of every other one it reaches; a point whose state the piece does
-    not hold starts a new piece.  A point's code is the canonical form of its
-    pointed piece, and pieces are minimal (see the module docstring), so a
-    point's key is its bisimulation class in the union of the round's pieces.
-    If a window is too wide to pack or the classes cannot be confirmed, every
-    point of the round keys by its code."""
+    """One key per point, shared exactly by points with equal
+    ``piece_code(q, lo, hi)``; ``words[i]`` is the Gray word of
+    ``points[i]``.  Points over one Gray word share the window, so the piece
+    built from one of them holds the state of every other one it reaches; a
+    point whose state the piece does not hold starts a new piece.  A point's
+    code is the canonical form of its pointed piece, and pieces are minimal
+    (see the module docstring), so a point's key is its bisimulation class in
+    the union of the round's pieces.  If a window is too wide to pack or the
+    classes cannot be confirmed, every point of the round keys by its code."""
     fibers: dict[GrayWord, list[int]] = {}
     for i, w in enumerate(words):
         fibers.setdefault(w, []).append(i)
@@ -775,7 +768,7 @@ def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: in
         todo = np.array(members)
         states = np.array([win.state(points[i]) for i in members], dtype=np.int64)
         while todo.size:
-            table, piece_states = win.piece(int(states[0]), _PIECE_CAP)
+            table, piece_states = win.piece(int(states[0]))
             order = np.argsort(piece_states)
             at = order[np.minimum(np.searchsorted(piece_states, states, sorter=order), piece_states.size - 1)]
             held = piece_states[at] == states
@@ -815,7 +808,7 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
         if len(memo) > 1_000_000:
             memo.clear()
     if win.fits():
-        rows, _ = win.rows(win.state(q), _PIECE_CAP)
+        rows, _ = win.rows(win.state(q))
         code = hashlib.sha256(rows).digest()
     else:
         code = GrayPiece.build(q, lo, hi).code()
@@ -845,74 +838,6 @@ def _ball_separation_radius(
         if n >= bound:
             return n, (repr(ball[groups[0][0]]), repr(ball[groups[0][1]]))
         n += 1
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def _gray_word_json(gw: GrayWord) -> dict:
-    return {"prefix": list(gw.prefix), "period": None if gw.period is None else list(gw.period), "star2": gw.star2}
-
-
-def piece_to_json(piece: GrayPiece, cfg: Config) -> dict:
-    return {
-        "d": piece.d,
-        "window": [piece.lo, piece.hi],
-        "segment": [_gray_word_json(w) for w in piece.segment],
-        "basepoint": piece.basepoint,
-        "vertices": [
-            {"point": repr(piece.point_of(i))[1:-1], "fiber": piece.fiber(i)}
-            for i in range(piece.size)
-        ],
-        "edges": [
-            {"source": i, "label": name, "target": j}
-            for i, name, j in piece.s0_edges(cfg)
-        ],
-    }
-
-
-def piece_to_dot(piece: GrayPiece, cfg: Config) -> str:
-    lines = ["graph piece {"]
-    for i in range(piece.size):
-        shape = ', shape=doublecircle, style=bold' if i == piece.basepoint else ""
-        lines.append(f'  v{i} [label="{repr(piece.point_of(i))[1:-1]} @{piece.fiber(i)}"{shape}];')
-    seen = set()
-    for i, name, j in piece.s0_edges(cfg):
-        if j < 0:
-            continue
-        key = (min(i, j), max(i, j), name.rstrip("-"))
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(f'  v{key[0]} -- v{key[1]} [label="{key[2]}"];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def level_to_json(lg: LevelGraph) -> dict:
-    return {
-        "d": lg.d,
-        "n": lg.n,
-        "vertices": ["".join(map(str, lg.word_of(i))) for i in range(lg.size)],
-        "edges": {name: list(row) for name, row in lg.adj.items()},
-    }
-
-
-def level_to_dot(lg: LevelGraph) -> str:
-    lines = ["graph level {"]
-    for i in range(lg.size):
-        lines.append(f'  v{i} [label="{"".join(map(str, lg.word_of(i)))}"];')
-    seen = set()
-    for name, row in lg.adj.items():
-        for i, j in enumerate(row):
-            key = (min(i, j), max(i, j), name)
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f'  v{key[0]} -- v{key[1]} [label="{name}"];')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def find_n0(

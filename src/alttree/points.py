@@ -254,11 +254,14 @@ def parse_point(text: str, d: int) -> TildePoint:
 
 
 def act(word: Word, p: TildePoint) -> TildePoint:
-    """Exact image of a point under a word."""
+    """Exact image of a point under a word; a generator of another degree
+    than the point's raises ValueError."""
     word = reduce_word(word)
     if not word:
         return p
     d = p.d
+    if any(g.d != d for g in word):
+        raise ValueError("degree mismatch")
     out = []
     w = word
     for x in p.prefix:

@@ -24,8 +24,6 @@ from alttree.diagram import (
     contraction_depth,
     cylinder_member,
     decode,
-    diagram_to_dot,
-    diagram_to_json,
     empty_set,
     encode,
     full_connectivity_steps,
@@ -412,6 +410,20 @@ def test_image_identity_section_is_single_path():
         assert img.cylinders[0].end == eta.end
 
 
+def test_words_of_another_degree_raise():
+    # a4 of degree 6 sends the letter 4 to 5, a letter no degree-5 point or
+    # path holds; a degree-5 word on a degree-6 point is as meaningless
+    a4 = Config.default(6).gen("a4")
+    with pytest.raises(ValueError, match="degree mismatch"):
+        act((a4,), parse_point("4(4)", D))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        image_of_cylinder((a4,), path(D, (4, 1), "21*"))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        act((CFG.gen("a1"),), parse_point("1(5)", 6))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        image_of_cylinder((CFG.gen("a1"),), path(6, (1,), "51*"))
+
+
 def test_image_then_inverse_image_roundtrip():
     rng = rng_for(CFG, "diag-image-inv")
     for _ in range(30):
@@ -457,6 +469,13 @@ def test_tower_enumeration():
     assert len(tw) == 25
     assert len({t.labels for t in tw}) == 25
     assert all(t.end == v for t in tw)
+
+
+def test_tower_rejects_bad_vertices_and_levels():
+    with pytest.raises(ValueError, match="bad vertex"):
+        tower(D, (0, 0, 7), 1)
+    with pytest.raises(ValueError, match="levels start at 1"):
+        tower(D, (1, 2, 1), 0)
 
 
 def test_tau_apply_moves_prefix_keeps_tail():
@@ -696,17 +715,3 @@ def test_regularity_random_stabilizers():
         found += 1
     assert found >= 25
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_diagram_export_shapes():
-    obj = diagram_to_json(D, levels=2)
-    assert len(obj["vertices"]) == 40
-    assert len(obj["top_edges"]) == 200
-    assert len(obj["level_edges"]) == 200
-    dot = diagram_to_dot(D, levels=2)
-    assert dot.startswith("digraph")
-    assert dot.count("rank=same") == 3
-    assert '"L1_21*" -> "L2_10*"' in dot

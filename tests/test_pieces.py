@@ -22,8 +22,8 @@ from alttree.corpus import rng_for, sample_point, sample_points
 from alttree.pieces import (
     SEPARATION_RADIUS,
     GrayPiece,
+    _fiber_keys,
     _Window,
-    _window_keys,
     branch_report,
     descriptor_labels,
     find_n0,
@@ -31,11 +31,7 @@ from alttree.pieces import (
     piece_code,
     is_quasi_level,
     level_graph,
-    level_to_dot,
-    level_to_json,
     marginals,
-    piece_to_dot,
-    piece_to_json,
     schreier_ball,
     segment_roots,
 )
@@ -84,14 +80,6 @@ def test_level_graph_rigidity():
 def test_level_graph_cap():
     with pytest.raises(ResourceCap):
         level_graph(CFG, 7)
-
-
-def test_level_graph_exports():
-    lg = level_graph(CFG, 1)
-    dot = level_to_dot(lg)
-    assert dot.startswith("graph") and dot.count("v0") >= 1
-    js = level_to_json(lg)
-    assert js["vertices"][0] == "0" and len(js["edges"]) == len(CFG.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +511,7 @@ def test_quasi_level_examples():
 
 
 # ---------------------------------------------------------------------------
-# exports and the separation constant
-
-
-def test_piece_exports():
-    p = parse_point("1(3)", 5)
-    piece = gray_piece(p, 1)
-    js = piece_to_json(piece, CFG)
-    assert js["window"] == [-1, 1]
-    assert len(js["vertices"]) == piece.size
-    dot = piece_to_dot(piece, CFG)
-    assert "doublecircle" in dot
+# the separation constant
 
 
 def test_find_n0_small():
@@ -555,6 +533,23 @@ def test_separation_radius_constant():
     rep = find_n0(CFG, pts, radius=4, search_bound=SEPARATION_RADIUS)
     assert rep["ok"], rep
     assert rep["n0"] <= SEPARATION_RADIUS
+
+
+@pytest.mark.parametrize(
+    "d, radius, want",
+    [
+        (6, 3, {"n0": 2, "balls": 12, "vertices": 3332, "pairs_checked": 696980}),
+        (7, 3, {"n0": 2, "balls": 12, "vertices": 5594, "pairs_checked": 2289492}),
+        # d = 9 is the first degree with four bits per packed letter
+        (9, 2, {"n0": 1, "balls": 12, "vertices": 1761, "pairs_checked": 128388}),
+    ],
+)
+def test_find_n0_at_other_degrees(d, radius, want):
+    # The default 12-point corpus at degrees other than 5, pinned exactly.
+    cfg = Config.default(d)
+    pts = sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2)
+    rep = find_n0(cfg, pts, radius=radius)
+    assert rep == {"ok": True, "search_bound": 20, "radius": radius, "replay_collisions": 0, **want}
 
 
 def test_piece_code_matches_two_pass_build():
@@ -609,7 +604,7 @@ def test_window_keys_shared_exactly_when_piece_codes_equal():
         # fewer fibers than points: pieces are shared between points
         assert len({gray_projection(q) for q in points}) < len(points)
         for n in ns:
-            keys = _window_keys(points, -n, n)
+            keys = _fiber_keys(points, [gray_projection(q) for q in points], -n, n)
             # every round here packs and confirms its partition, so every key is a class
             assert all(isinstance(k, int) for k in keys), (d, n)
             assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), (d, n)
@@ -634,7 +629,7 @@ def _moore_class_count(piece: GrayPiece) -> int:
 
 
 def test_every_piece_is_minimal():
-    # _window_keys keys a point by its bisimulation class because no two
+    # _fiber_keys keys a point by its bisimulation class because no two
     # vertices of a piece are bisimilar.  This oracle shares no code with
     # _bisimulation_classes: it refines the two-pass build's annotations and
     # adjacency in pure Python.
@@ -817,19 +812,21 @@ def test_hash_collisions_fall_back_to_codes(monkeypatch):
         assert pieces_mod._bisimulation_classes(_toy_pieces(kind), 0, 5) is None, kind
     for n in (1, 2):
         codes = [piece_code(q, -n, n) for q in points]
-        assert _window_keys(points, -n, n) == codes, n
+        assert _fiber_keys(points, [gray_projection(q) for q in points], -n, n) == codes, n
 
 
-def test_vertex_cap_boundary():
-    # A cap bounds the vertex count: a piece of exactly ``cap`` vertices
-    # passes, one more raises, in the two-pass build and the packed walk alike.
+def test_vertex_cap_boundary(monkeypatch):
+    # _PIECE_CAP bounds the vertex count: a piece of exactly the cap passes,
+    # one more vertex raises, in the two-pass build and the packed walk alike.
     p = parse_point("3332[24]", 5)
     win = _Window(p, -1, 1)
     size = GrayPiece.build(p, -1, 1).size
-    rows, _ = win.rows(win.state(p), size)
+    monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size)
+    rows, _ = win.rows(win.state(p))
     assert len(rows) == size
-    assert GrayPiece.build(p, -1, 1, cap=size).size == size
+    assert GrayPiece.build(p, -1, 1).size == size
+    monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size - 1)
     with pytest.raises(ResourceCap):
-        GrayPiece.build(p, -1, 1, cap=size - 1)
+        GrayPiece.build(p, -1, 1)
     with pytest.raises(ResourceCap):
-        win.rows(win.state(p), size - 1)
+        win.rows(win.state(p))

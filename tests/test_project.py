@@ -15,3 +15,10 @@ def test_console_scripts_resolve():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.parametrize("module", ["core", "points", "pieces", "diagram", "corpus"])
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"alttree.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
