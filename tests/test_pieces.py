@@ -610,6 +610,147 @@ def test_window_keys_shared_exactly_when_piece_codes_equal():
             assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), (d, n)
 
 
+def _round(points: list, lo: int, hi: int) -> tuple[list, list]:
+    """The windows of a round and their start states as ``_fiber_keys``
+    forms them: one window per Gray word, started from its first point."""
+    first: dict = {}
+    for q in points:
+        first.setdefault(gray_projection(q), q)
+    wins = [_Window(q, lo, hi) for q in first.values()]
+    return wins, [win.state(q) for win, q in zip(wins, first.values())]
+
+
+def test_batch_equals_its_batches_of_one():
+    # One walk over a round's windows must give each piece the table it gets
+    # alone, row for row in its own breadth-first order: the same fibers and
+    # letters, and cliques numbered in the same order once the piece's clique
+    # numbers are ranked among themselves.  The walk takes as many steps as
+    # its deepest piece.
+    for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
+        points = _shared_inputs(d, radius, nbase)
+        for n in ns:
+            wins, starts = _round(points, -n, n)
+            assert len(wins) > 1, (d, n)
+            batch = pieces_mod._Batch(wins)
+            table, states = batch.piece(starts)
+            window = states >> (batch.shift + batch.fiber_bits)
+            assert np.array_equal(np.unique(window), np.arange(len(wins))), (d, n)
+            depth = 0
+            for i, (win, start) in enumerate(zip(wins, starts)):
+                alone = pieces_mod._Batch([win])
+                want, want_states = alone.piece([start])
+                rows = table[window == i]
+                for col in (4, 5):
+                    rows[:, col] = np.unique(rows[:, col], return_inverse=True)[1]
+                assert np.array_equal(rows, want), (d, n, i)
+                assert np.array_equal(states[window == i], batch.pack(np.full(len(want), i), want_states)), (d, n, i)
+                depth = max(depth, len(list(alone.layers([start]))))
+            assert len(list(batch.layers(starts))) == depth, (d, n)
+
+
+def test_piece_cap_counts_each_piece(monkeypatch):
+    # _PIECE_CAP bounds each piece of a walk, not the walk: two pieces the
+    # cap admits walk together though their sizes add up past it, and the
+    # cap still refuses a piece one vertex larger than it.
+    points = _shared_inputs(5, 2, 1)
+    wins, starts = _round(points, -2, 2)
+    wins, starts = wins[:2], starts[:2]
+    sizes = [len(pieces_mod._Batch([win]).piece([start])[0]) for win, start in zip(wins, starts)]
+    monkeypatch.setattr(pieces_mod, "_PIECE_CAP", max(sizes))
+    assert sum(sizes) > max(sizes)
+    table, _ = pieces_mod._Batch(wins).piece(starts)
+    assert len(table) == sum(sizes)
+    monkeypatch.setattr(pieces_mod, "_PIECE_CAP", max(sizes) - 1)
+    with pytest.raises(ResourceCap, match=f"{max(sizes)} reached"):
+        pieces_mod._Batch(wins).piece(starts)
+
+
+def test_windows_too_wide_to_pack_together_walk_apart(monkeypatch):
+    # Two windows of a round share a walk while their joint packing fits 62
+    # bits.  At the smallest degree where each packs alone but the two do
+    # not pack together, they are split by their widths alone.  A letter's
+    # width grows only past a power of two, so the degrees tried are one
+    # more than a power of two.
+    def windows(d):
+        return [_Window(periodic_point(d, (1, 0, 2), tail), -1, 1) for tail in ((3,), (0, 3))]
+
+    d = 5
+    while pieces_mod._packed_width(max(win.shift for win in windows(d)), 3, 2) <= 62:
+        assert pieces_mod._batches(windows(d)) == [[0, 1]], d
+        d = 2 * d - 1
+    assert all(win.fits() for win in windows(d)), d
+    assert pieces_mod._batches(windows(d)) == [[0], [1]], d
+    # Pieces at that degree are far too large to walk, so the keying across
+    # walks is checked at d = 5 with every window split off into its own
+    # walk: the keys must still partition the points as their codes do.
+    points = _shared_inputs(5, 2, 2)
+    words = [gray_projection(q) for q in points]
+    monkeypatch.setattr(pieces_mod, "_batches", lambda wins: [[i] for i in range(len(wins))])
+    for n in (1, 2, 3):
+        keys = _fiber_keys(points, words, -n, n)
+        assert all(isinstance(k, int) for k in keys), n
+        assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), n
+
+
+def _piece_graph(piece: GrayPiece) -> nx.DiGraph:
+    """The piece as a networkx graph.  Node data: the annotation and a
+    basepoint flag; edge data: the set of move labels joining two vertices."""
+    labels: dict = {}
+    for i, row in enumerate(piece.adj):
+        for lab, t in enumerate(row):
+            if t >= 0:
+                labels.setdefault((i, t), set()).add(lab)
+    g = nx.DiGraph()
+    g.add_nodes_from((i, {"ann": (piece.annotation(i), i == piece.basepoint)}) for i in range(piece.size))
+    g.add_edges_from((i, t, {"labels": frozenset(labs)}) for (i, t), labs in labels.items())
+    return g
+
+
+def _pointed_isomorphic(a: nx.DiGraph, b: nx.DiGraph) -> bool:
+    """VF2++ matches the node data; a match that also carries every edge's
+    labels is an isomorphism.  Otherwise VF2 with edge labels decides."""
+    if a.number_of_nodes() != b.number_of_nodes() or a.number_of_edges() != b.number_of_edges():
+        return False
+    m = nx.vf2pp_isomorphism(a, b, node_label="ann")
+    if m is not None and all(
+        b.has_edge(m[i], m[j]) and b[m[i]][m[j]]["labels"] == e["labels"] for i, j, e in a.edges(data=True)
+    ):
+        return True
+    return nx.is_isomorphic(
+        a, b, node_match=lambda x, y: x["ann"] == y["ann"], edge_match=lambda x, y: x["labels"] == y["labels"]
+    )
+
+
+def test_fiber_keys_are_pointed_isomorphism_classes():
+    # networkx decides pointed labelled isomorphism of the reference pieces,
+    # sharing no code with the walk or the refinement: two points of a
+    # radius-2 ball share a key exactly when their pieces are isomorphic.
+    # Isomorphism is an equivalence, so each point is matched to its key's
+    # first point, and those first points are told apart pairwise wherever
+    # the sorted annotations do not already tell them apart.  The ball's
+    # basepoint has x1 = 0, so one-sided windows leave many points alike.
+    points = schreier_ball(parse_point("03[10]", 5), 2)
+    words = [gray_projection(q) for q in points]
+    shared = 0
+    for lo, hi in ((0, 1), (-1, 1), (0, 2)):
+        keys = _fiber_keys(points, words, lo, hi)
+        assert all(isinstance(k, int) for k in keys), (lo, hi)  # classes, not the codes' fallback
+        graphs = [_piece_graph(GrayPiece.build(q, lo, hi)) for q in points]
+        first: dict = {}
+        for i, key in enumerate(keys):
+            if first.setdefault(key, i) != i:
+                shared += 1
+                assert _pointed_isomorphic(graphs[first[key]], graphs[i]), (lo, hi, i)
+        alike: dict = {}
+        for i in first.values():
+            alike.setdefault(tuple(sorted(ann for _, ann in graphs[i].nodes(data="ann"))), []).append(i)
+        for group in alike.values():
+            for i, j in itertools.combinations(group, 2):
+                assert not _pointed_isomorphic(graphs[i], graphs[j]), (lo, hi, i, j)
+    assert shared  # some distinct points share a key, so both directions are tried
+    assert len(set(points)) == len(points)
+
+
 def _moore_class_count(piece: GrayPiece) -> int:
     """Classes of the coarsest partition of the piece's vertices that refines
     the annotations and is stable under every label, by naive Moore
@@ -774,23 +915,30 @@ def test_schreier_ball_too_wide_to_pack(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the ball walked a window too wide to pack")
 
-    monkeypatch.setattr(_Window, "layers", no_walk)
+    monkeypatch.setattr(pieces_mod._Batch, "layers", no_walk)
     with pytest.raises(ResourceCap, match=f"{need}-bit"):
         schreier_ball(point(d), 1)
 
 
-def _toy_pieces(kind: str) -> list:
+def _toy_pieces(kind: str) -> np.ndarray:
     # Three hand-made pieces in clique form, rows [fiber, x1, u, v, A-clique,
     # B-clique], every B-clique a single vertex: two A-cliques of a vertex
     # with x1 = 0 and one with x1 = 1, one such A-clique, and the same two
     # annotations, each alone in its A-clique.  Kind "B" swaps the roles of
     # x1 and v, and of the two cliques, so the exact check of each clique
-    # kind has a case only it can refuse.
+    # kind has a case only it can refuse.  The pieces are stacked into one
+    # table, each numbering its cliques after the pieces before it, as one
+    # walk numbers the cliques of all its pieces.
     pair = [[0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 0, 1]]
     two_pairs = np.array(pair + [[0, 0, 1, 1, 1, 2], [0, 1, 1, 1, 1, 3]], dtype=np.int32)
     apart = np.array([[0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 1]], dtype=np.int32)
-    pieces = [two_pairs, np.array(pair, dtype=np.int32), apart]
-    return pieces if kind == "A" else [r[:, [0, 2, 2, 1, 5, 4]] for r in pieces]
+    tables = []
+    for table in (two_pairs, np.array(pair, dtype=np.int32), apart):
+        tables.append(table.copy())
+        if len(tables) > 1:
+            tables[-1][:, 4:] += tables[-2][:, 4:].max(axis=0) + 1
+    table = np.concatenate(tables)
+    return table if kind == "A" else table[:, [0, 2, 2, 1, 5, 4]]
 
 
 def test_bisimulation_classes_find_non_minimal_pieces():
