@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 __all__ = [
     "Perm",
@@ -470,7 +471,8 @@ def is_identity(word: Word, d: int | None = None) -> bool:
         if _IDENTITY_CACHE.get(w) is True:
             continue
         if not root_perm(w).is_identity():
-            _IDENTITY_CACHE[word] = False
+            if len(_IDENTITY_CACHE) < _ID_CACHE_CAP:
+                _IDENTITY_CACHE[word] = False
             return False
         visited.add(w)
         if len(visited) > _ID_CACHE_CAP:
@@ -479,10 +481,10 @@ def is_identity(word: Word, d: int | None = None) -> bool:
             sw = section_word(w, (x,))
             if sw and sw not in visited:
                 stack.append(sw)
-    # every reachable section acts trivially at its root
-    if len(_IDENTITY_CACHE) < _ID_CACHE_CAP:
-        for w in visited:
-            _IDENTITY_CACHE[w] = True
+    # every reachable section acts trivially at its root; the cache stops
+    # growing at its cap
+    for w in islice(visited, max(_ID_CACHE_CAP - len(_IDENTITY_CACHE), 0)):
+        _IDENTITY_CACHE[w] = True
     return True
 
 

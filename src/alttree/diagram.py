@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    _ID_CACHE_CAP,
     BGen,
     Gen,
     ResourceCap,
@@ -660,12 +661,14 @@ def is_identity_on_vertex(word: Word, v: Vertex | None, d: int | None = None) ->
             continue
         rp = root_perm(w)
         if any(rp(lab) != lab for lab, _ in out_edges(d, u)):
-            _IOV_CACHE[root] = False
+            if len(_IOV_CACHE) < _ID_CACHE_CAP:
+                _IOV_CACHE[root] = False
             return False
         visited.add(demand)
         stack.extend((section_word(w, (lab,)), t) for lab, t in out_edges(d, u))
-    # every reachable demand fixes its edge labels
-    for demand in visited:
+    # every reachable demand fixes its edge labels; the cache stops growing
+    # at the cap of core's identity cache
+    for demand in itertools.islice(visited, max(_ID_CACHE_CAP - len(_IOV_CACHE), 0)):
         _IOV_CACHE[demand] = True
     return True
 

@@ -17,11 +17,11 @@ the underlying labelled graphs.
 
 The moves have two implementations.  ``GrayPiece.build`` states the rule
 plainly, one move of one letter tuple at a time; it is the reference, and
-the path for windows too wide to pack.  ``_Batch.layers`` walks packed
+the path for windows too wide to pack.  ``_Window.layers`` walks packed
 states one breadth-first layer at a time with array arithmetic, expanding
-each move clique (below) once, and walks the pieces of several windows in
-the same steps.  A batch of one piece gives piece codes and Schreier balls;
-``find_n0`` walks each round's pieces, one per Gray fiber, in one batch.
+each move clique (below) once; it gives piece codes and Schreier balls.
+``find_n0`` walks no piece: by the key lemma (below) a point's piece is
+fixed by its window's slot pattern and the point's letters.
 
 Clique lemma.  A vertex's A-clique is the set of window states that agree
 with it except perhaps at ``x1``, each at the fiber whose word fits its
@@ -43,6 +43,51 @@ moves can be undone, so from any vertex a walk reaches every fiber of its
 piece, and along it the annotation shows each letter before the walk can
 change it (a letter never in view is the same at every vertex).  So
 bisimilar vertices have the same (fiber, letters) state: they are one.
+
+Fullness.  A state of a window is a fiber with letters at the slots that
+fit the fiber's word: nonzero exactly at its stars (the formal ``a``
+always).  Every piece holds every state of its window.  A line edge flips
+one letter, in view at both its fibers -- ``x1`` across an A-edge, the
+``v`` of the pair both fibers show across a B-edge -- so a letter never in
+view keeps one zero pattern, and no move changes it.  Induction, adding an
+end fiber h to a window W, next to it across edge e.  One fiber alone: its
+moves that stay set ``x1`` and the pair to every fitting value.  By
+induction the states over W with the letters at the slots only h shows
+held fixed are connected.  If e is a B-edge, h shows the pair of its
+neighbour, so it adds no slot, and the B-move that flips ``v`` joins each
+state at h to one over W.  If e is an A-edge, an A-move joins each state
+at h to one over W; an A-move out to h, B-moves at h that set the new
+slots to any fitting values, and an A-move back join the states over W
+that differ there.
+
+Key lemma.  Label a window's slots in order of first appearance: ``x1``
+first, then each fiber's pair (u, v) from ``lo`` to ``hi``.  A point's key
+is the labels of each fiber's pair -- the slot pattern -- and its letters
+in label order.  Two points have isomorphic pointed pieces, so equal
+codes, exactly when their keys are equal.  If the keys are equal, the
+basepoint letters fix fiber 0's zero pattern and each line edge flips the
+letter of a known label, so relabelling the slots maps the states of one
+window onto the other's; by fullness this is a bijection of the pieces,
+and it keeps every annotation and move label and maps basepoint to
+basepoint.  Conversely, let an isomorphism map one pointed piece onto the
+other; it keeps fibers, which the annotation shows.  A role is ``x1``, u
+or v at one fiber.  The roles of one slot are joined by steps of three
+kinds.  A B-edge's two fibers show the same pair.  v sits right after u,
+so the v of two fibers share a slot exactly when their u do.  Along a run
+of fibers over which a slot holds a nonzero letter, which no line edge of
+the run flips, take two walks with the same crossings from two vertices
+one move apart, the move writing a fresh value into a role of that slot:
+at every step they differ in that slot alone, so at the run's far end they
+differ exactly in its roles.  The isomorphism maps them onto two such
+walks of the other piece, with the same annotations, so the same roles
+share a slot there.  Over a run where a slot holds zero it shows only as
+the v of the run's end fibers, whose B-edges flip it, and the second step
+joins those through the slot below.  So by induction on the position
+every two roles of a slot are joined, and as the first two steps hold in
+every window, both pieces have one slot pattern.  Last, a walk from the
+basepoint writes only letters in view, so its annotations show each slot's
+letter unchanged when the letter first comes into view; the isomorphism
+carries the walk over, so the basepoint letters agree label by label.
 
 The module also computes marginal subpieces, branch counts, quasi-level
 detection, and the separation constant ``n0``: the piece radius at which
@@ -96,7 +141,7 @@ __all__ = [
 # (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
 # distinct points in every ball, radius 5 does not.  The audit reports
 # n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
-# replay collision; it takes about 1.7 s on a 2-vCPU host (Python 3.11,
+# replay collision; it takes about 0.4 s on a 2-vCPU host (Python 3.11,
 # numpy 2.4):
 #
 #   cfg = Config.default(5)
@@ -506,8 +551,7 @@ class _Window:
     when the window shows it -- packs into one int: ``bits`` bits per letter
     (enough for the letter ``d - 1``), the fiber offset from ``lo`` above
     them.  The window depends on the center's Gray word alone, so one
-    packing serves every point over that word.  ``_Batch`` walks pieces over
-    several windows of one round at once."""
+    packing serves every point over that word."""
 
     def __init__(self, p: TildePoint, lo: int, hi: int):
         if not lo <= 0 <= hi:
@@ -525,7 +569,7 @@ class _Window:
         # per fiber offset: bit offsets of x1 and of the visible pair
         self.shifts = self.bits * np.array([(0, iu, iv) for iu, iv in self.pair_slots], dtype=np.int64)
         self.shift = self.bits * (nfin + (2 if self.has_pair else 0))
-        self.width = _packed_width(self.shift, hi - lo + 1, 1)  # bits of a packed state
+        self.width = self.shift + (hi - lo + 1).bit_length()  # bits of a packed state
 
     def fits(self) -> bool:
         return self.width <= 62
@@ -559,198 +603,105 @@ class _Window:
         cols = [((states >> (self.bits * i)) & mask).tolist() for i in range(self.shift // self.bits)]
         return list(zip(*cols))
 
-    def rows(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """The piece of packed state ``start`` as ``_Batch.piece`` gives it,
-        with each table row replaced by the int32 trace row ``[fiber, x1, u,
-        v, target per label]``: by the clique lemma the targets are the other
-        members of the vertex's A-clique by ``x1``, then of its B-clique by
-        ``(u, v)``."""
-        table, states = _Batch([self]).piece([start])
-        n = len(table)
-        rows = [table[:, :4]]
-        for clique, letter, members in _clique_contents(table, self.d, np.arange(n, dtype=np.int32)):
-            rows.append(members[clique])
-            rows[-1][np.arange(n), letter] = -1  # no move keeps the letter
-        return np.hstack(rows), states
-
-
-def _packed_width(shift: int, fibers: int, windows: int) -> int:
-    """Bits of a joint packed state: letters below ``shift``, then a fiber
-    offset below ``fibers``, then a window number below ``windows``."""
-    return shift + fibers.bit_length() + (windows - 1).bit_length()
-
-
-def _batches(wins: list[_Window]) -> list[list[int]]:
-    """Split windows of one round, each of which packs alone, into runs (by
-    index, in order) whose joint packing fits 62 bits; a run grows while the
-    next window still fits beside it."""
-    fibers = wins[0].hi - wins[0].lo + 1
-    out: list[list[int]] = []
-    shift = 0
-    for i, win in enumerate(wins):
-        if out and _packed_width(max(shift, win.shift), fibers, len(out[-1]) + 1) <= 62:
-            out[-1].append(i)
-            shift = max(shift, win.shift)
-        else:
-            out.append([i])
-            shift = win.shift
-    return out
-
-
-class _Batch:
-    """Pieces over several windows of one round -- the same ``d``, ``lo``
-    and ``hi``, different slots -- walked together, one piece per window.
-
-    A joint state is a window's packed state with its letters padded to the
-    widest window's ``shift`` and the window's number in the batch above the
-    fiber bits, so ``state >> shift`` indexes per-(window, fiber offset)
-    tables.  A batch of one window packs exactly as the window does."""
-
-    def __init__(self, wins: list[_Window]):
-        first = wins[0]
-        self.d, self.lo, self.hi, self.bits = first.d, first.lo, first.hi, first.bits
-        self.shift = max(win.shift for win in wins)
-        self.fiber_bits = (self.hi - self.lo + 1).bit_length()
-        self.own_shifts = np.array([win.shift for win in wins], dtype=np.int64)
-        # per (window, fiber offset): bit offsets of x1 and of the visible pair
-        self.shifts = np.zeros((len(wins) << self.fiber_bits, 3), dtype=np.int64)
-        for i, win in enumerate(wins):
-            at = i << self.fiber_bits
-            self.shifts[at : at + len(win.shifts)] = win.shifts
-
-    def pack(self, windows: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Joint states of packed ``states``, each in the packing of its
-        window numbered ``windows``."""
-        own = self.own_shifts[windows]
-        return (((windows << self.fiber_bits) | (states >> own)) << self.shift) | (states & ((1 << own) - 1))
-
-    def piece(self, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The pieces of packed states ``starts[i]`` over window i in clique
-        form, as (table, states): row r of the int32 table is ``[fiber, x1,
-        u, v, A-clique, B-clique]`` of joint state ``states[r]``.  Rows and
-        cliques are numbered in the walk's order, so each piece's rows, taken
-        in order, are its breadth-first order from its start, and its
-        cliques' numbers rise as a batch of one numbers them."""
-        walk = list(self.layers(starts))
+    def piece(self, start: int) -> np.ndarray:
+        """The piece of packed state ``start`` in clique form: row i of the
+        int32 table is ``[fiber, x1, u, v, A-clique, B-clique]`` of the i-th
+        vertex in breadth-first order from ``start``."""
+        walk = list(self.layers(start))
         states = np.concatenate([step[0] for step in walk])
-        cell = states >> self.shift
+        ko = states >> self.shift
         table = np.empty((states.size, 6), dtype=np.int32)
-        table[:, 0] = (cell & ((1 << self.fiber_bits) - 1)) + self.lo
+        table[:, 0] = ko + self.lo
         for col, shifts in enumerate(self.shifts.T, 1):  # a column at a time keeps the peak low
-            table[:, col] = (states >> shifts[cell]) & ((1 << self.bits) - 1)
+            table[:, col] = (states >> shifts[ko]) & ((1 << self.bits) - 1)
         for kind in (1, 2):
             members = np.concatenate([step[kind] for step in walk[1:]])
             table[members[members >= 0], 3 + kind] = np.nonzero(members >= 0)[0]
-        return table, states
+        return table
 
-    def layers(self, starts: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
-        """Walk the pieces of packed states ``starts[i]`` over window i one
-        breadth-first layer at a time, all pieces in one step.  Each step
-        yields the joint states of the next layer, then the member tables of
-        the A- and B-cliques first met in the layer before it (None at the
-        first step): a row per clique, a column per letter in label order,
-        and the member's number there, or -1 for a fiber outside the window.
-        The last step yields no states.  A layer is expanded only when the
-        walk is resumed after it.  A piece of more than ``_PIECE_CAP``
-        vertices raises ``ResourceCap``.
+    def rows(self, start: int) -> np.ndarray:
+        """``piece`` with each table row replaced by the int32 trace row
+        ``[fiber, x1, u, v, target per label]``: by the clique lemma the
+        targets are the other members of the vertex's A-clique by ``x1``,
+        then of its B-clique by ``(u, v)``."""
+        table = self.piece(start)
+        d, n = self.d, len(table)
+        rows = [table[:, :4]]
+        pair = (table[:, 2] - 1) * d + table[:, 3]
+        for clique, letter, count in ((table[:, 4], table[:, 1], d), (table[:, 5], pair, d * (d - 1))):
+            members = np.full((int(clique.max()) + 1, count), -1, dtype=np.int32)
+            members[clique, letter] = np.arange(n, dtype=np.int32)
+            rows.append(members[clique])
+            rows[-1][np.arange(n), letter] = -1  # no move keeps the letter
+        return np.hstack(rows)
 
-        A clique that meets a layer was expanded already exactly when it
-        meets the layer before; if not, it is expanded from its first vertex,
-        and its members lie in this layer or the next.  A fresh vertex is
-        numbered by its first place, its clique's first vertex's place times
-        d**2 plus its label's index: ``GrayPiece.build``'s order.
-
-        A clique's key is a member's joint state with the rewritten letters
-        cleared and, for its fiber, the fiber where the picking letter is
-        zero, plus one.  The key's fiber field has a spare bit, so the fibers
-        -1 and ``hi - lo + 1`` outside the window never reach the window
-        number, and a key takes at most 63 bits.  Window numbers lead both
-        keys and states, so each layer, and each step's cliques, come one
-        window after another, each window's in the order a batch of one
-        gives."""
-        d, lo, hi, shift, fiber_bits = self.d, self.lo, self.hi, self.shift, self.fiber_bits
-        mask, windows = (1 << self.bits) - 1, len(self.own_shifts)
-        cells = np.arange(windows << fiber_bits)  # every (window, fiber offset), as ``state >> shift``
-        window, ko = cells >> fiber_bits, cells & ((1 << fiber_bits) - 1)
+    def layers(self, start: int) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
+        """Walk the piece of packed state ``start`` one breadth-first layer at
+        a time.  Each step yields the packed states of the next layer, then
+        the member tables of the A- and B-cliques first met in the layer
+        before it (None at the first step): a row per clique, a column per
+        letter in label order, and the member's number there, or -1 for a
+        fiber outside the window.  The last step yields no states.  A layer
+        is expanded only when the walk is resumed after it.  More than
+        ``_PIECE_CAP`` vertices raise ``ResourceCap``.  A clique that meets a
+        layer was expanded already exactly when it meets the layer before; if
+        not, it is expanded from its first vertex, and its members lie in this
+        layer or the next.  A fresh vertex is numbered by its first place,
+        its clique's first vertex's place times d**2 plus its label's index:
+        ``GrayPiece.build``'s order."""
+        d, lo, hi, shift = self.d, self.lo, self.hi, self.shift
+        mask, fibers = (1 << self.bits) - 1, range(lo, hi + 1)
         sx1, siu, siv = self.shifts.T
         pair_u, pair_v = np.divmod(np.arange(d, d * d), d)
-        # per clique kind, by (window, fiber offset): the bits its moves rewrite, the shift of the
-        # letter whose zeroness picks the fiber, clique key bits for this fiber and for the other,
-        # the other fiber's index (-1 outside the window), member bits; by member: zero?, label
-        kinds = []
-        for neighbour, bits, zero_shift, member_bits, member_zero, labels in (
-            (_a_neighbor_index, np.full(cells.size, mask), sx1, np.tile(np.arange(d), (cells.size, 1)),
-             np.arange(d) == 0, np.arange(d)),
-            (_b_neighbor_index, (mask << siu) | (mask << siv), siv,
+        # per clique kind, by fiber offset: the bits its moves rewrite, the shift of the letter
+        # whose zeroness picks the fiber, the other fiber, member bits; by member: zero?, label
+        kinds = (
+            (np.full(len(fibers), mask), sx1, np.array([_a_neighbor_index(k) - lo for k in fibers]),
+             np.tile(np.arange(d), (len(fibers), 1)), np.arange(d) == 0, np.arange(d)),
+            ((mask << siu) | (mask << siv), siv, np.array([_b_neighbor_index(k) - lo for k in fibers]),
              (pair_u << siu[:, None]) | (pair_v << siv[:, None]), pair_v == 0, np.arange(d, d * d)),
-        ):
-            other = np.array([neighbour(k + lo) - lo for k in range(1 << fiber_bits)])[ko]
-            inside = np.where((other >= 0) & (other <= hi - lo), (window << fiber_bits) | other, -1)
-            key_here, key_other = ((window << (fiber_bits + 1)) | (f + 1) for f in (ko, other))
-            kinds.append((bits, zero_shift, key_here, key_other, inside, member_bits, member_zero, labels))
-        layer = self.pack(np.arange(windows), np.array(starts, dtype=np.int64))  # in number order
-        first = 0  # the layer's first number
-        sizes = np.ones(windows, dtype=np.int64)  # vertices met per piece
+        )
+        layer, first = np.array([start], dtype=np.int64), 0  # in number order, and its first number
         met = [np.empty(0, dtype=np.int64)] * 2  # keys of the cliques the layer before meets
         members = [None, None]
         while True:
             yield layer, *members
             if not layer.size:
                 return
-            cell = layer >> shift
+            ko = layer >> shift
             low = layer & ((1 << shift) - 1)
             cand, place = [], []  # candidate states, -1 outside the window, and their places
-            for k, (bits, zero_shift, key_here, key_other, inside, member_bits, member_zero, labels) in enumerate(kinds):
-                zero = ((low >> zero_shift[cell]) & mask) == 0
-                base = low & ~bits[cell]
-                keys, at = np.unique((np.where(zero, key_here[cell], key_other[cell]) << shift) | base, return_index=True)
+            for k, (bits, zero_shift, other, member_bits, member_zero, labels) in enumerate(kinds):
+                # a clique's key: its member's state with the rewritten bits
+                # cleared, at the fiber where the picking letter is zero
+                zero = ((low >> zero_shift[ko]) & mask) == 0
+                z = np.where(zero, ko, other[ko])
+                base = low & ~bits[ko]
+                keys, at = np.unique((z << shift) | base, return_index=True)
                 prev = met[k]  # sorted and unique, as keys are
                 if prev.size:
                     at = at[prev[np.minimum(np.searchsorted(prev, keys), prev.size - 1)] != keys]
                 met[k] = keys
-                here, zero = cell[at], zero[at]
-                there = inside[here]
-                # each member's fiber: where the picking letter is zero, or the other one
-                fiber = np.where(member_zero, np.where(zero, here, there)[:, None], np.where(zero, there, here)[:, None])
-                state = (fiber << shift) | base[at, None] | member_bits[here]
-                cand.append(np.where(fiber >= 0, state, -1).ravel())
+                fiber = np.where(member_zero, z[at, None], np.where(zero, other[ko], ko)[at, None])
+                state = (fiber << shift) | base[at, None] | member_bits[ko[at]]
+                cand.append(np.where((fiber >= 0) & (fiber <= hi - lo), state, -1).ravel())
                 place.append((at[:, None] * d * d + labels).ravel())
             split = cand[0].size
             cand, place = np.concatenate(cand), np.concatenate(place)
 
-            pos, found = _find(layer, cand)
-            ids = np.where(found, first + pos, -1)
+            order = np.argsort(layer)
+            pos = order[np.minimum(np.searchsorted(layer, cand, sorter=order), layer.size - 1)]
+            ids = np.where(layer[pos] == cand, first + pos, -1)
             fresh = np.flatnonzero((cand >= 0) & (ids < 0))
             fresh = fresh[np.argsort(place[fresh])]  # in order of first place
             _, at, which = np.unique(cand[fresh], return_index=True, return_inverse=True)
             first += layer.size
             ids[fresh] = first + at.argsort().argsort()[which]
             layer = cand[fresh[np.sort(at)]]
-            sizes += np.bincount(layer >> (shift + fiber_bits), minlength=windows)
-            if sizes.max() > _PIECE_CAP:
-                raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {sizes.max()} reached")
+            if first + layer.size > _PIECE_CAP:
+                raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {first + layer.size} reached")
             ids = ids.astype(np.int32)
             members = [ids[:split].reshape(-1, d), ids[split:].reshape(-1, d * (d - 1))]
-
-
-def _find(states: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each query, an index into the distinct ``states``, and whether
-    the state there is the query."""
-    order = np.argsort(states)
-    at = order[np.minimum(np.searchsorted(states, queries, sorter=order), states.size - 1)]
-    return at, states[at] == queries
-
-
-def _clique_contents(table: np.ndarray, d: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Per clique kind, A then B, of a table in the clique form of
-    ``_Batch.piece``: each vertex's clique, its letter there, and a table of
-    ``values`` by clique and letter, -1 where a clique has no such member."""
-    out, pair = [], (table[:, 2] - 1) * d + table[:, 3]
-    for clique, letter, count in ((table[:, 4], table[:, 1], d), (table[:, 5], pair, d * (d - 1))):
-        content = np.full((int(clique.max()) + 1, count), -1, dtype=values.dtype)
-        content[clique, letter] = values
-        out.append((clique, letter, content))
-    return out
 
 
 def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
@@ -760,121 +711,38 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     A move changes the fiber by at most one, so no path of ``radius`` moves
     leaves the fibers -radius..radius: the ball is the first ``radius + 1``
     breadth-first layers of the piece of ``p`` over that window.  The packed
-    walk, a batch of one, stops after them, and each state becomes a point
-    by ``_Window.point``, the map ``GrayPiece.point_of`` uses.  A window too
+    walk stops after them, and each state becomes a point by
+    ``_Window.point``, the map ``GrayPiece.point_of`` uses.  A window too
     wide to pack raises ``ResourceCap`` before any walk."""
     win = _Window(p, -radius, radius)
     if not win.fits():
         raise ResourceCap(f"a radius-{radius} ball needs {win.width}-bit packed states; at most 62 fit")
-    walk = islice(_Batch([win]).layers([win.state(p)]), radius + 1)
+    walk = islice(win.layers(win.state(p)), radius + 1)
     states = np.concatenate([layer for layer, _, _ in walk])
     return [win.point(p, letters) for letters in win.unpack(states)]
 
 
-def _mix(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Scramble the hashes ``h`` in place by MurmurHash3's finaliser, then add the int64 column ``x``."""
-    for k in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(k)
-    h ^= h >> np.uint64(33)
-    h += x.view(np.uint64)
-    return h
-
-
-def _bisimulation_classes(table: np.ndarray, lo: int, d: int) -> np.ndarray | None:
-    """Class of every vertex of a table of disjoint pieces in the clique form
-    of ``_Batch.piece``, in the coarsest stable partition of their union, or
-    None when the hashed refinement cannot be confirmed.
-
-    A piece is a deterministic automaton with the annotation ``[fiber, x1,
-    u, v]`` as output and at most one target per label, so the coarsest
-    partition that refines the annotations and is stable under every label
-    ("no edge" counting as a class of its own) puts two vertices together
-    exactly when they are bisimilar.  By the clique lemma a vertex's targets
-    are the other members of its cliques, under letters their classes fix:
-    each round hashes every vertex's class with an order-free sum over each
-    of its cliques of the members' hashed classes, until the class count
-    stops growing.  A hash collision can only merge classes, so the last
-    partition is at least as coarse as the true one; it is returned only if
-    it refines the annotations and is stable, checked exactly against each
-    class's representative, and then it is the true one."""
-    ann = (((table[:, 0].astype(np.int64) - lo) * d + table[:, 1]) * d + table[:, 2]) * d + table[:, 3]
-    colour = np.unique(ann, return_inverse=True)[1]
-    while True:
-        member = _mix(colour.astype(np.uint64), colour)
-        h = colour.astype(np.uint64)
-        for clique in (table[:, 4], table[:, 5]):
-            sums = np.zeros(int(clique.max()) + 1, dtype=np.uint64)
-            np.add.at(sums, clique, member)
-            h = _mix(h, sums[clique])
-        del member, sums
-        colour2 = np.unique(h, return_inverse=True)[1]
-        if colour2.max() <= colour.max():
-            break
-        colour = colour2
-    rep = np.empty(colour.max() + 1, dtype=np.int64)
-    rep[colour] = np.arange(colour.size)  # a representative of each class
-    of = rep[colour]
-    if (ann[of] != ann).any():
-        return None
-    # a vertex's targets are its cliques' contents with its own letter's
-    # entry blanked, and a class fixes the letter: compare contents exactly
-    for clique, _, content in _clique_contents(table, d, colour.astype(np.int32)):
-        kind = np.unique(content, axis=0, return_inverse=True)[1].ravel()
-        if (kind[clique[of]] != kind[clique]).any():
-            return None
-    return colour
-
-
-def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: int) -> list[int] | list[bytes]:
+def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: int) -> list[tuple]:
     """One key per point, shared exactly by points with equal
     ``piece_code(q, lo, hi)``; ``words[i]`` is the Gray word of
-    ``points[i]``.  Points over one Gray word share the window, so the piece
-    walked from one of them holds the state of every other one it reaches;
-    a point whose state no piece holds starts a new piece in the next walk.
-    Each walk is one ``_Batch`` over the windows that still have such points
-    (more, should their joint packing pass 62 bits), so a round costs as
-    many layer steps as its deepest piece.  A point's code is the canonical
-    form of its pointed piece, and pieces are minimal (see the module
-    docstring), so a point's key is its bisimulation class in the union of
-    the round's pieces.  If a window is too wide to pack or the classes
-    cannot be confirmed, every point of the round keys by its code."""
-    if not points:
-        return []
-    fibers: dict[GrayWord, list[int]] = {}
-    for i, w in enumerate(words):
-        fibers.setdefault(w, []).append(i)
-    wins = [_Window(points[members[0]], lo, hi) for members in fibers.values()]
-    if not all(win.fits() for win in wins):
-        return [piece_code(q, lo, hi) for q in points]
-    todo = np.array([i for members in fibers.values() for i in members])  # points no piece holds yet
-    win_of = np.repeat(np.arange(len(wins)), [len(members) for members in fibers.values()])
-    states = np.array([wins[w].state(points[i]) for i, w in zip(todo.tolist(), win_of.tolist())], dtype=np.int64)
-    where = np.empty(len(points), dtype=np.int64)  # each point's vertex in the round's table
-    tables = []
-    size = 0
-    while todo.size:
-        pending, first = np.unique(win_of, return_index=True)  # each window's first point left
-        held = np.zeros(todo.size, dtype=bool)
-        for run in _batches([wins[w] for w in pending]):
-            batch = _Batch([wins[w] for w in pending[run]])
-            table, got = batch.piece(states[first[run]].tolist())
-            mine = np.flatnonzero(np.isin(win_of, pending[run]))
-            at, hit = _find(got, batch.pack(np.searchsorted(pending[run], win_of[mine]), states[mine]))
-            del got  # the refinement is the round's peak: hold only the table through it
-            where[todo[mine[hit]]] = size + at[hit]
-            held[mine[hit]] = True
-            if tables:  # clique numbers follow the previous table's
-                table[:, 4:] += tables[-1][:, 4:].max(axis=0) + 1
-            tables.append(table)
-            size += len(table)
-        todo, win_of, states = todo[~held], win_of[~held], states[~held]
-    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    del tables  # nor the parts of a joined table
-    classes = _bisimulation_classes(table, lo, points[0].d)
-    if classes is None:
-        return [piece_code(q, lo, hi) for q in points]
-    return classes[where].tolist()
+    ``points[i]``.  By the key lemma (module docstring) the key is the
+    window's slot pattern and the point's letters in slot-label order.
+    Points over one Gray word share the window, so each Gray word gets one
+    ``_Window`` and each point one ``letters`` call, and no piece is walked:
+    the key needs no packing, so it serves windows of every width."""
+    shapes: dict[GrayWord, tuple] = {}  # per Gray word: window, slots by label, slot pattern
+    keys = []
+    for q, w in zip(points, words):
+        shape = shapes.get(w)
+        if shape is None:
+            win = _Window(q, lo, hi)
+            order = tuple(dict.fromkeys(itertools.chain((0,), *win.pair_slots)))  # slots by first appearance
+            label = {slot: i for i, slot in enumerate(order)}
+            shape = shapes[w] = win, order, tuple(label[i] for i in itertools.chain(*win.pair_slots))
+        win, order, pattern = shape
+        letters = win.letters(q)
+        keys.append((pattern, tuple(letters[i] for i in order)))
+    return keys
 
 
 def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> bytes:
@@ -903,8 +771,7 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
         if len(memo) > 1_000_000:
             memo.clear()
     if win.fits():
-        rows, _ = win.rows(win.state(q))
-        code = hashlib.sha256(rows).digest()
+        code = hashlib.sha256(win.rows(win.state(q))).digest()
     else:
         code = GrayPiece.build(q, lo, hi).code()
     if key is not None:
@@ -924,7 +791,7 @@ def _ball_separation_radius(
     groups = [list(range(len(ball)))]
     while True:
         at = [i for group in groups for i in group]
-        buckets: dict[int, list[int]] | dict[bytes, list[int]] = {}
+        buckets: dict[tuple, list[int]] = {}
         for i, key in zip(at, _fiber_keys([ball[i] for i in at], [words[i] for i in at], -n, n)):
             buckets.setdefault(key, []).append(i)
         groups = [g for g in buckets.values() if len(g) > 1]
@@ -946,11 +813,13 @@ def find_n0(
     central pieces of radius n.  Each ball is built once, by the packed
     walk of ``schreier_ball``; the replay pass re-keys the balls the search
     built at the final value in one sweep.  Both passes key a ball's points,
-    projected once, with ``_fiber_keys``: a piece is built once per Gray
-    fiber, not once per point, all of a round's pieces in one batched walk,
-    and one partition refinement over them decides which points have equal
-    ``piece_code``."""
+    projected once, with ``_fiber_keys``, which decides equal ``piece_code``
+    by the key lemma, without walking a piece."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if search_bound < 1:
+        raise ValueError("search_bound must be positive")
     uniq = list(dict.fromkeys(points))
     n0 = 1
     balls = []

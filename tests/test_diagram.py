@@ -590,6 +590,30 @@ def test_is_identity_on_vertex_at_the_top_is_is_identity():
     assert {trivial for _, trivial in cold} == {True, False}
 
 
+def test_identity_caches_stop_growing_at_their_cap(monkeypatch):
+    """With a small cap, the identity caches of core and diagram stop
+    growing at it, and every answer is the one the uncapped caches give."""
+    import alttree.core as core
+    import alttree.diagram as diagram
+
+    rng = rng_for(CFG, "diag-cache-cap")
+    words = [sample_word(rng, CFG, max_len=4) for _ in range(100)]
+    tops = [None] + list(vertices(D)[::9])
+
+    def answers():
+        core._IDENTITY_CACHE.clear()
+        diagram._IOV_CACHE.clear()
+        return [(is_identity(w, D), [is_identity_on_vertex(w, v, D) for v in tops]) for w in words]
+
+    want = answers()
+    cap = 10
+    assert len(core._IDENTITY_CACHE) > cap and len(diagram._IOV_CACHE) > cap
+    monkeypatch.setattr(core, "_ID_CACHE_CAP", cap)
+    monkeypatch.setattr(diagram, "_ID_CACHE_CAP", cap)
+    assert answers() == want
+    assert len(core._IDENTITY_CACHE) == cap and len(diagram._IOV_CACHE) == cap
+
+
 # ---------------------------------------------------------------------------
 # audits
 

@@ -13,7 +13,6 @@ import random
 from collections import deque
 
 import networkx as nx
-import numpy as np
 import pytest
 
 import alttree.pieces as pieces_mod
@@ -195,6 +194,8 @@ def _compare_with_oracle(p, lo, hi):
     assert set(piece.segment) == set(seg)
     piece_states = {_piece_state(piece, i) for i in range(piece.size)}
     assert piece_states == comp
+    # fullness: the piece holds every state consistent with the window
+    assert piece_states == set(_enumerate_candidates(p, lo, hi)[2])
     ptypes = _piece_edge_types(piece)
     otypes = {
         key: types
@@ -203,16 +204,10 @@ def _compare_with_oracle(p, lo, hi):
     }
     assert ptypes == otypes
     assert _piece_state(piece, piece.basepoint) == base
-    return piece, comp
 
 
 def test_piece_matches_enumeration_oracle_periodic():
-    p = parse_point("1(3)", 5)
-    piece, comp = _compare_with_oracle(p, -2, 2)
-    # for this window every consistent assignment is reachable
-    _, _, states = _enumerate_candidates(p, -2, 2)
-    assert len(comp) == len(states)
-    assert piece.size == len(states)
+    _compare_with_oracle(parse_point("1(3)", 5), -2, 2)
 
 
 def test_piece_matches_enumeration_oracle_samples():
@@ -524,15 +519,30 @@ def test_find_n0_small():
 
 
 def test_separation_radius_constant():
-    # The frozen constant comes from the radius-8 audit over the full default
-    # corpus (too slow for this suite; the acceptance run repeats it).  Here:
-    # the value is pinned, and a cheaper radius-4 search over a sub-corpus
-    # must not need more than the frozen radius.
+    # The frozen constant is the n0 of the radius-8 audit over the default
+    # 12-point corpus; the whole report is pinned.
+    pts = sample_points(CFG, 12, salt="n0", max_prefix=4, max_period=2)
+    rep = find_n0(CFG, pts, radius=8)
+    assert rep == {
+        "ok": True,
+        "n0": SEPARATION_RADIUS,
+        "search_bound": 20,
+        "radius": 8,
+        "balls": 11,
+        "vertices": 13420,
+        "pairs_checked": 9850898,
+        "replay_collisions": 0,
+    }
     assert SEPARATION_RADIUS == 6
-    pts = sample_points(CFG, 6, salt="n0", max_prefix=4, max_period=2)
-    rep = find_n0(CFG, pts, radius=4, search_bound=SEPARATION_RADIUS)
-    assert rep["ok"], rep
-    assert rep["n0"] <= SEPARATION_RADIUS
+
+
+def test_find_n0_rejects_bad_bounds():
+    pts = sample_points(CFG, 2, salt="n0", max_prefix=4, max_period=2)
+    # n0 is at least 1, so a search bound below 1 could never hold it
+    with pytest.raises(ValueError, match="search_bound must be positive"):
+        find_n0(CFG, pts, radius=2, search_bound=0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        find_n0(CFG, pts, radius=-1)
 
 
 @pytest.mark.parametrize(
@@ -592,104 +602,47 @@ def _shared_inputs(d: int, radius: int, nbase: int) -> list:
 
 
 def test_window_keys_shared_exactly_when_piece_codes_equal():
-    # find_n0 keys a list of points by one partition refinement over the
-    # pieces built once per Gray fiber; two points must share a key exactly
-    # when their own piece_code values are equal.  find_n0 uses nothing of a
-    # key but which points share it, so this oracle is as strong as equality
-    # of the codes themselves.  The d = 5 list mixes two basepoints' balls
-    # over windows of span 3 to 11.  Pieces at d = 8 are large, so a radius-1
-    # ball keeps the per-point reference codes cheap.
+    # find_n0 keys a list of points by their windows' slot patterns and
+    # letters; two points must share a key exactly when their own piece_code
+    # values are equal.  find_n0 uses nothing of a key but which points share
+    # it, so this oracle is as strong as equality of the codes themselves.
+    # The d = 5 list mixes two basepoints' balls over windows of span 3 to
+    # 11.  Pieces at d = 8 are large, so a radius-1 ball keeps the per-point
+    # reference codes cheap.
     for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
         points = _shared_inputs(d, radius, nbase)
-        # fewer fibers than points: pieces are shared between points
+        # fewer fibers than points: windows are shared between points
         assert len({gray_projection(q) for q in points}) < len(points)
         for n in ns:
             keys = _fiber_keys(points, [gray_projection(q) for q in points], -n, n)
-            # every round here packs and confirms its partition, so every key is a class
-            assert all(isinstance(k, int) for k in keys), (d, n)
             assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), (d, n)
 
 
-def _round(points: list, lo: int, hi: int) -> tuple[list, list]:
-    """The windows of a round and their start states as ``_fiber_keys``
-    forms them: one window per Gray word, started from its first point."""
-    first: dict = {}
-    for q in points:
-        first.setdefault(gray_projection(q), q)
-    wins = [_Window(q, lo, hi) for q in first.values()]
-    return wins, [win.state(q) for win, q in zip(wins, first.values())]
-
-
-def test_batch_equals_its_batches_of_one():
-    # One walk over a round's windows must give each piece the table it gets
-    # alone, row for row in its own breadth-first order: the same fibers and
-    # letters, and cliques numbered in the same order once the piece's clique
-    # numbers are ranked among themselves.  The walk takes as many steps as
-    # its deepest piece.
-    for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
-        points = _shared_inputs(d, radius, nbase)
-        for n in ns:
-            wins, starts = _round(points, -n, n)
-            assert len(wins) > 1, (d, n)
-            batch = pieces_mod._Batch(wins)
-            table, states = batch.piece(starts)
-            window = states >> (batch.shift + batch.fiber_bits)
-            assert np.array_equal(np.unique(window), np.arange(len(wins))), (d, n)
-            depth = 0
-            for i, (win, start) in enumerate(zip(wins, starts)):
-                alone = pieces_mod._Batch([win])
-                want, want_states = alone.piece([start])
-                rows = table[window == i]
-                for col in (4, 5):
-                    rows[:, col] = np.unique(rows[:, col], return_inverse=True)[1]
-                assert np.array_equal(rows, want), (d, n, i)
-                assert np.array_equal(states[window == i], batch.pack(np.full(len(want), i), want_states)), (d, n, i)
-                depth = max(depth, len(list(alone.layers([start]))))
-            assert len(list(batch.layers(starts))) == depth, (d, n)
-
-
-def test_piece_cap_counts_each_piece(monkeypatch):
-    # _PIECE_CAP bounds each piece of a walk, not the walk: two pieces the
-    # cap admits walk together though their sizes add up past it, and the
-    # cap still refuses a piece one vertex larger than it.
-    points = _shared_inputs(5, 2, 1)
-    wins, starts = _round(points, -2, 2)
-    wins, starts = wins[:2], starts[:2]
-    sizes = [len(pieces_mod._Batch([win]).piece([start])[0]) for win, start in zip(wins, starts)]
-    monkeypatch.setattr(pieces_mod, "_PIECE_CAP", max(sizes))
-    assert sum(sizes) > max(sizes)
-    table, _ = pieces_mod._Batch(wins).piece(starts)
-    assert len(table) == sum(sizes)
-    monkeypatch.setattr(pieces_mod, "_PIECE_CAP", max(sizes) - 1)
-    with pytest.raises(ResourceCap, match=f"{max(sizes)} reached"):
-        pieces_mod._Batch(wins).piece(starts)
-
-
-def test_windows_too_wide_to_pack_together_walk_apart(monkeypatch):
-    # Two windows of a round share a walk while their joint packing fits 62
-    # bits.  At the smallest degree where each packs alone but the two do
-    # not pack together, they are split by their widths alone.  A letter's
-    # width grows only past a power of two, so the degrees tried are one
-    # more than a power of two.
-    def windows(d):
-        return [_Window(periodic_point(d, (1, 0, 2), tail), -1, 1) for tail in ((3,), (0, 3))]
-
-    d = 5
-    while pieces_mod._packed_width(max(win.shift for win in windows(d)), 3, 2) <= 62:
-        assert pieces_mod._batches(windows(d)) == [[0, 1]], d
-        d = 2 * d - 1
-    assert all(win.fits() for win in windows(d)), d
-    assert pieces_mod._batches(windows(d)) == [[0], [1]], d
-    # Pieces at that degree are far too large to walk, so the keying across
-    # walks is checked at d = 5 with every window split off into its own
-    # walk: the keys must still partition the points as their codes do.
+def test_fiber_keys_walk_no_piece(monkeypatch):
+    # The keys come from the windows alone: with the packed walk disabled
+    # they still partition the d = 5 rounds as the piece codes do, computed
+    # before the walk is disabled.
     points = _shared_inputs(5, 2, 2)
     words = [gray_projection(q) for q in points]
-    monkeypatch.setattr(pieces_mod, "_batches", lambda wins: [[i] for i in range(len(wins))])
-    for n in (1, 2, 3):
-        keys = _fiber_keys(points, words, -n, n)
-        assert all(isinstance(k, int) for k in keys), n
-        assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), n
+    codes = {n: [piece_code(q, -n, n) for q in points] for n in (1, 2, 3, 5)}
+
+    def no_walk(*args):
+        raise AssertionError("the keys walked a piece")
+
+    monkeypatch.setattr(pieces_mod._Window, "layers", no_walk)
+    for n, want in codes.items():
+        assert _partition(_fiber_keys(points, words, -n, n)) == _partition(want), n
+    # Nor do they pack: at the first degree whose radius-1 window does not
+    # fit 62 bits (found as in test_schreier_ball_too_wide_to_pack), points
+    # get keys, not a ResourceCap.  A point that differs only at a position
+    # the window does not show shares the key; one that differs at a slot
+    # does not.
+    d = 5
+    while _Window(periodic_point(d, (1, 0, 2), (3,)), -1, 1).fits():
+        d = 2 * d - 1
+    points = [periodic_point(d, prefix, (3,)) for prefix in ((1, 0, 2), (1, 0, 2, 3, 3, 9), (1, 0, 5))]
+    keys = _fiber_keys(points, [gray_projection(q) for q in points], -1, 1)
+    assert keys[0] == keys[1] != keys[2], d
 
 
 def _piece_graph(piece: GrayPiece) -> nx.DiGraph:
@@ -723,8 +676,8 @@ def _pointed_isomorphic(a: nx.DiGraph, b: nx.DiGraph) -> bool:
 
 def test_fiber_keys_are_pointed_isomorphism_classes():
     # networkx decides pointed labelled isomorphism of the reference pieces,
-    # sharing no code with the walk or the refinement: two points of a
-    # radius-2 ball share a key exactly when their pieces are isomorphic.
+    # sharing no code with the keys: two points of a radius-2 ball share a
+    # key exactly when their pieces are isomorphic.
     # Isomorphism is an equivalence, so each point is matched to its key's
     # first point, and those first points are told apart pairwise wherever
     # the sorted annotations do not already tell them apart.  The ball's
@@ -734,7 +687,6 @@ def test_fiber_keys_are_pointed_isomorphism_classes():
     shared = 0
     for lo, hi in ((0, 1), (-1, 1), (0, 2)):
         keys = _fiber_keys(points, words, lo, hi)
-        assert all(isinstance(k, int) for k in keys), (lo, hi)  # classes, not the codes' fallback
         graphs = [_piece_graph(GrayPiece.build(q, lo, hi)) for q in points]
         first: dict = {}
         for i, key in enumerate(keys):
@@ -770,10 +722,9 @@ def _moore_class_count(piece: GrayPiece) -> int:
 
 
 def test_every_piece_is_minimal():
-    # _fiber_keys keys a point by its bisimulation class because no two
-    # vertices of a piece are bisimilar.  This oracle shares no code with
-    # _bisimulation_classes: it refines the two-pass build's annotations and
-    # adjacency in pure Python.
+    # No two vertices of a piece are bisimilar (the minimality lemma of the
+    # pieces module).  This oracle refines the two-pass build's annotations
+    # and adjacency in pure Python.
     rng = random.Random("minimal")
     cases = [(sample_point(rng, 5, max_prefix=4, max_period=2), 2) for _ in range(6)]
     for d, texts in ((8, ("7(1)", "3332[74]", "000[57]")), (9, ("8(1)", "3332[84]", "000[58]"))):
@@ -915,52 +866,9 @@ def test_schreier_ball_too_wide_to_pack(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the ball walked a window too wide to pack")
 
-    monkeypatch.setattr(pieces_mod._Batch, "layers", no_walk)
+    monkeypatch.setattr(pieces_mod._Window, "layers", no_walk)
     with pytest.raises(ResourceCap, match=f"{need}-bit"):
         schreier_ball(point(d), 1)
-
-
-def _toy_pieces(kind: str) -> np.ndarray:
-    # Three hand-made pieces in clique form, rows [fiber, x1, u, v, A-clique,
-    # B-clique], every B-clique a single vertex: two A-cliques of a vertex
-    # with x1 = 0 and one with x1 = 1, one such A-clique, and the same two
-    # annotations, each alone in its A-clique.  Kind "B" swaps the roles of
-    # x1 and v, and of the two cliques, so the exact check of each clique
-    # kind has a case only it can refuse.  The pieces are stacked into one
-    # table, each numbering its cliques after the pieces before it, as one
-    # walk numbers the cliques of all its pieces.
-    pair = [[0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 0, 1]]
-    two_pairs = np.array(pair + [[0, 0, 1, 1, 1, 2], [0, 1, 1, 1, 1, 3]], dtype=np.int32)
-    apart = np.array([[0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 1]], dtype=np.int32)
-    tables = []
-    for table in (two_pairs, np.array(pair, dtype=np.int32), apart):
-        tables.append(table.copy())
-        if len(tables) > 1:
-            tables[-1][:, 4:] += tables[-2][:, 4:].max(axis=0) + 1
-    table = np.concatenate(tables)
-    return table if kind == "A" else table[:, [0, 2, 2, 1, 5, 4]]
-
-
-def test_bisimulation_classes_find_non_minimal_pieces():
-    # The first two toy pieces are bisimilar everywhere, so the first is not
-    # minimal; the third is, and shares no class with them.
-    for kind in "AB":
-        classes = pieces_mod._bisimulation_classes(_toy_pieces(kind), 0, 5).tolist()
-        assert classes[0] == classes[2] == classes[4] and classes[1] == classes[3] == classes[5], kind
-        assert len(set(classes[6:])) == 2 and not set(classes[:6]) & set(classes[6:]), kind
-
-
-def test_hash_collisions_fall_back_to_codes(monkeypatch):
-    # With every hash colliding the refinement cannot be confirmed, so the
-    # whole round keys by codes, and the partition is still the codes'.
-    points = _shared_inputs(5, 2, 1)
-    monkeypatch.setattr(pieces_mod, "_mix", lambda h, x: np.zeros_like(h))
-    # the exact check must refuse the merged classes of the toy pieces
-    for kind in "AB":
-        assert pieces_mod._bisimulation_classes(_toy_pieces(kind), 0, 5) is None, kind
-    for n in (1, 2):
-        codes = [piece_code(q, -n, n) for q in points]
-        assert _fiber_keys(points, [gray_projection(q) for q in points], -n, n) == codes, n
 
 
 def test_vertex_cap_boundary(monkeypatch):
@@ -970,8 +878,7 @@ def test_vertex_cap_boundary(monkeypatch):
     win = _Window(p, -1, 1)
     size = GrayPiece.build(p, -1, 1).size
     monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size)
-    rows, _ = win.rows(win.state(p))
-    assert len(rows) == size
+    assert len(win.rows(win.state(p))) == size
     assert GrayPiece.build(p, -1, 1).size == size
     monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size - 1)
     with pytest.raises(ResourceCap):
