@@ -308,7 +308,7 @@ Gen = AGen | BGen
 Word = tuple  # tuple[Gen, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per degree
 def identity_gen(d: int) -> AGen:
     return AGen(Perm.identity(d))
 

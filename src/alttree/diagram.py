@@ -86,6 +86,7 @@ _CONNECTIVITY_BOUND = 8  # path lengths full_connectivity_steps tries
 _SECTION_WORDS_CAP = 100_000  # words of one level of nontrivial_section_words
 _DEPTH_BOUND = 64  # tree levels contraction_depth and regularity_check search
 _AUDIT_CAP = 40_000_000  # paths of one roundtrip_audit
+_CHAIN_CACHE_CAP = 1 << 16  # entries of the _chain cache, keyed by path
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ _AUDIT_CAP = 40_000_000  # paths of one roundtrip_audit
 Vertex = tuple  # (a, b, flag) with 1 <= a < d, 0 <= b < d, flag in {0, 1}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per degree
 def vertices(d: int) -> tuple[Vertex, ...]:
     """All level vertices, in sorted order: 2*(d-1)*d of them."""
     return tuple(
@@ -102,7 +103,7 @@ def vertices(d: int) -> tuple[Vertex, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # at most 2*(d-1)*d + 1 entries per degree
 def out_edges(d: int, v: Vertex | None) -> tuple[tuple[int, Vertex], ...]:
     """Edges one level down from ``v`` as ``(label, target)`` pairs.
 
@@ -154,7 +155,7 @@ def parse_vertex(text: str) -> Vertex | None:
 # finite paths
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CHAIN_CACHE_CAP)
 def _chain(d: int, labels: tuple, end: Vertex) -> tuple[Vertex, ...]:
     """Vertices at levels 1..n along the unique path reading ``labels``
     into ``end``: walk backwards, one deterministic step per label."""
@@ -165,7 +166,7 @@ def _chain(d: int, labels: tuple, end: Vertex) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathPrefix:
     """A finite path from the top: label word plus end vertex.
 
@@ -175,8 +176,9 @@ class PathPrefix:
 
     The public constructors (``PathPrefix(...)``, :func:`path`,
     :func:`parse_path`) check every field.  ``_unchecked`` skips the
-    checks and is only for fields valid by construction: the paths that
-    ``encode``, ``children``, ``parent``, ``image_of_cylinder``,
+    checks and ``__init__``: it stores the fields through the slot
+    setters.  It is only for fields valid by construction: the paths
+    that ``encode``, ``children``, ``parent``, ``image_of_cylinder``,
     ``clopen``, ``complement``, ``tower``, ``full_space`` and
     ``roundtrip_audit`` build from letters, vertices and edges they
     already hold.
@@ -202,9 +204,12 @@ class PathPrefix:
     @classmethod
     def _unchecked(cls, d: int, labels: tuple[int, ...], end: Vertex | None) -> "PathPrefix":
         """Wrap fields that are a valid path by construction."""
-        p = object.__new__(cls)
-        # one dict update costs less than three object.__setattr__ calls
-        p.__dict__.update(d=d, labels=labels, end=end)
+        p = _new(cls)
+        # the slot setters skip the frozen __setattr__; bound once below,
+        # they cost less than the three object.__setattr__ calls of __init__
+        _set_d(p, d)
+        _set_labels(p, labels)
+        _set_end(p, end)
         return p
 
     @property
@@ -238,6 +243,14 @@ class PathPrefix:
         return f"<path {self.text()}>"
 
 
+_new = object.__new__
+_set_d, _set_labels, _set_end = (
+    PathPrefix.d.__set__,
+    PathPrefix.labels.__set__,
+    PathPrefix.end.__set__,
+)
+
+
 def path(d: int, labels, end) -> PathPrefix:
     labels = tuple(labels)
     if isinstance(end, str):
@@ -267,8 +280,15 @@ def encode(p: TildePoint, depth: int) -> PathPrefix:
     follower; doubled points fall back to the formal pair)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    labels, end = _encoded(p, depth)
+    return PathPrefix._unchecked(p.d, labels, end)
+
+
+def _encoded(p: TildePoint, depth: int) -> tuple[tuple[int, ...], Vertex | None]:
+    """The ``(labels, end)`` fields of ``encode(p, depth)``, for a depth
+    >= 0, without building the path."""
     if depth == 0:
-        return PathPrefix._unchecked(p.d, (), None)
+        return (), None
     # past both the prefix and the labels, one period shows a nonzero
     # letter, so the visible pair lies within m + 1 letters
     m = max(len(p.prefix), depth)
@@ -283,7 +303,7 @@ def encode(p: TildePoint, depth: int) -> PathPrefix:
         if isinstance(p.tail, Periodic):
             raise AssertionError("periodic tail with no nonzero letter")
         a, b = p.tail.a, p.tail.b
-    return PathPrefix._unchecked(p.d, seq[:depth], (a, b, 1 if seq[depth] != 0 else 0))
+    return seq[:depth], (a, b, 1 if seq[depth] != 0 else 0)
 
 
 def decode(eta: PathPrefix, tail: TildePoint | None = None) -> TildePoint:
@@ -309,7 +329,7 @@ def decode(eta: PathPrefix, tail: TildePoint | None = None) -> TildePoint:
         q = _zero_pair(d, labels + tail.prefix, tail.tail.a, tail.tail.b)
     else:
         q = _periodic(d, labels + tail.prefix, tail.tail.word)
-    if encode(q, len(labels)) != eta:
+    if _encoded(q, len(labels)) != (labels, end):
         raise ValueError("tail inconsistent with the end vertex")
     return q
 
@@ -818,20 +838,26 @@ def regularity_check(word: Word, p: TildePoint) -> dict:
 
 def roundtrip_audit(d: int, max_depth: int) -> dict:
     """Check encode(decode(path)) == path for every path of every depth
-    up to ``max_depth``; returns the number checked and any failures."""
+    up to ``max_depth``; returns the number checked and any failures.
+
+    Each path goes through the public ``decode``; the encoding side is
+    compared field by field (degree, labels, end vertex), so the audit
+    builds one path per check, not two."""
     total = sum(2 * (d - 1) * d * d**n for n in range(1, max_depth + 1)) + 1
     if total > _AUDIT_CAP:
-        raise ResourceCap(f"{total} paths exceed the audit cap")
+        raise ResourceCap(f"roundtrip_audit: {total} paths exceed _AUDIT_CAP = {_AUDIT_CAP}")
     checked, failures = 0, []
     top = PathPrefix._unchecked(d, (), None)
-    if encode(decode(top), 0) != top:
+    q = decode(top)
+    if q.d != d or _encoded(q, 0) != ((), None):
         failures.append(top.text())
     checked += 1
     for v in vertices(d):
         for n in range(1, max_depth + 1):
             for labels in itertools.product(range(d), repeat=n):
                 eta = PathPrefix._unchecked(d, labels, v)
-                if encode(decode(eta), n) != eta:
+                q = decode(eta)
+                if q.d != d or _encoded(q, n) != (labels, v):
                     failures.append(eta.text())
                 checked += 1
     return {

@@ -95,18 +95,18 @@ def pos_sort_key(pos: Position):
 # points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Periodic:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroPair:
     a: int
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TildePoint:
     """A point in canonical form; equality/hashing is structural."""
 
@@ -144,6 +144,28 @@ class TildePoint:
         return f"<{format_point(self)}>"
 
 
+# Setters of the slot descriptors.  They store a field without the frozen
+# ``__setattr__`` and without ``__init__``, so ``_periodic`` and
+# ``_zero_pair`` build a point and its tail for about half the cost of
+# the dataclass constructors.
+_new = object.__new__
+_set_word = Periodic.word.__set__
+_set_a, _set_b = ZeroPair.a.__set__, ZeroPair.b.__set__
+_set_d, _set_prefix, _set_tail = (
+    TildePoint.d.__set__,
+    TildePoint.prefix.__set__,
+    TildePoint.tail.__set__,
+)
+
+
+def _point(d: int, prefix: tuple[int, ...], tail: Periodic | ZeroPair) -> TildePoint:
+    p = _new(TildePoint)
+    _set_d(p, d)
+    _set_prefix(p, prefix)
+    _set_tail(p, tail)
+    return p
+
+
 def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
     for L in range(1, n // 2 + 1):
@@ -162,9 +184,10 @@ def periodic_point(d: int, prefix, period) -> TildePoint:
 
 def _periodic(d: int, prefix: tuple[int, ...], period: tuple[int, ...]) -> TildePoint:
     """The normal form of ``prefix . (period)^inf``, without the letter
-    checks of :func:`periodic_point`.  Only for letters valid by
-    construction: ``act``, ``diagram.decode`` and ``diagram.tau_apply``
-    pass letters read from valid points and paths."""
+    checks of :func:`periodic_point`, built through the slot setters.
+    Only for letters valid by construction: ``act``, ``diagram.decode``
+    and ``diagram.tau_apply`` pass letters read from valid points and
+    paths."""
     period = _primitive(period)
     if not any(period):
         raise ValueError("period must contain a nonzero letter")
@@ -175,7 +198,9 @@ def _periodic(d: int, prefix: tuple[int, ...], period: tuple[int, ...]) -> Tilde
     while k < n and prefix[n - 1 - k] == period[L - 1 - k % L]:
         k += 1
     r = L - k % L
-    return TildePoint(d, prefix[: n - k], Periodic(period[r:] + period[:r]))
+    tail = _new(Periodic)
+    _set_word(tail, period[r:] + period[:r])
+    return _point(d, prefix[: n - k], tail)
 
 
 def zero_pair_point(d: int, prefix, a: int, b: int) -> TildePoint:
@@ -192,11 +217,15 @@ def zero_pair_point(d: int, prefix, a: int, b: int) -> TildePoint:
 
 def _zero_pair(d: int, prefix: tuple[int, ...], a: int, b: int) -> TildePoint:
     """The normal form of ``prefix . 0^inf [a b]``, without the letter
-    checks of :func:`zero_pair_point`.  Only for letters valid by
-    construction, from the same callers as :func:`_periodic`."""
+    checks of :func:`zero_pair_point`, built through the slot setters.
+    Only for letters valid by construction, from the same callers as
+    :func:`_periodic`."""
     while prefix and prefix[-1] == 0:
         prefix = prefix[:-1]
-    return TildePoint(d, prefix, ZeroPair(a, b))
+    tail = _new(ZeroPair)
+    _set_a(tail, a)
+    _set_b(tail, b)
+    return _point(d, prefix, tail)
 
 
 def _expand(p: TildePoint, m: int):

@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
+from alttree import diagram
 from alttree.core import (
     Config,
     Perm,
+    ResourceCap,
     a_gen,
     b_gen,
     inverse_word,
@@ -215,6 +217,33 @@ def test_roundtrip_audit_reports_a_corrupted_decode(monkeypatch):
     aud = roundtrip_audit(D, 2)
     assert aud["checked"] == 1 + sum(40 * 5**n for n in range(1, 3))
     assert not aud["ok"] and aud["failures"] == [target.text()]
+
+
+def test_roundtrip_audit_reports_a_corrupted_encode(monkeypatch):
+    # the audit compares the encoding of every decoded point: one wrong
+    # end vertex shows
+    target, real = path(D, (0, 4), "12*"), diagram._encoded
+
+    def corrupt(p, depth):
+        labels, end = real(p, depth)
+        if (labels, end) == (target.labels, target.end):
+            end = end[:2] + (1 - end[2],)
+        return labels, end
+
+    monkeypatch.setattr("alttree.diagram._encoded", corrupt)
+    aud = roundtrip_audit(D, 2)
+    assert aud["checked"] == 1 + sum(40 * 5**n for n in range(1, 3))
+    assert not aud["ok"] and aud["failures"] == [target.text()]
+
+
+def test_roundtrip_audit_cap_reports_count_and_cap(monkeypatch):
+    # the cap names what it measured (the path count) and its limit
+    total = 1 + sum(40 * 5**n for n in range(1, 3))
+    monkeypatch.setattr("alttree.diagram._AUDIT_CAP", total - 1)
+    with pytest.raises(ResourceCap, match=f"^roundtrip_audit: {total} paths exceed _AUDIT_CAP = {total - 1}$"):
+        roundtrip_audit(D, 2)
+    monkeypatch.setattr("alttree.diagram._AUDIT_CAP", total)
+    assert roundtrip_audit(D, 2)["checked"] == total
 
 
 def test_encode_reads_letters_and_next_visible():

@@ -5,6 +5,10 @@ Words act as composed functions, the rightmost letter first, so the word
 short prefixes and periods, shallow cylinders) to keep the suite fast.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -57,15 +61,30 @@ def _rebuilt(q):
     return periodic_point(q.d, q.letters(len(q.prefix) + len(per) + 1), per[k:] + per[:k])
 
 
+def _assert_same_record(made, checked):
+    """``made`` (by a slot builder) behaves as the ``checked`` rebuild:
+    equal with the same hash, frozen field by field, no instance dict,
+    and unchanged by pickle and deepcopy."""
+    assert made == checked and hash(made) == hash(checked)
+    assert not hasattr(made, "__dict__")
+    for f in dataclasses.fields(made):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, f.name, getattr(made, f.name))
+    assert pickle.loads(pickle.dumps(made)) == made
+    assert copy.deepcopy(made) == made
+
+
 @PROPERTY
 @given(points, words, st.integers(0, 8))
 def test_unchecked_constructions_equal_their_checked_rebuilds(p, w, n):
     # encode, decode and act build without the public checks; what they
     # build must pass those checks and be in normal form
     e = encode(p, n)
-    assert PathPrefix(e.d, e.labels, e.end) == e
+    _assert_same_record(e, PathPrefix(e.d, e.labels, e.end))
     for q in (decode(e), act(w, p)):
-        assert _rebuilt(q) == q
+        rebuilt = _rebuilt(q)
+        _assert_same_record(q, rebuilt)
+        _assert_same_record(q.tail, rebuilt.tail)
 
 
 @PROPERTY
