@@ -16,10 +16,10 @@ order); code equality is exactly pointed label-preserving isomorphism of
 the underlying labelled graphs.
 
 The moves have two implementations.  ``GrayPiece.build`` states the rule
-plainly, one move of one letter tuple at a time; it is the reference, and
-the path for windows too wide to pack.  ``_Window.layers`` walks packed
-states one breadth-first layer at a time with array arithmetic, expanding
-each move clique (below) once; it gives piece codes and Schreier balls.
+plainly, one move of one letter tuple at a time; it is the reference.
+``_Window.walk`` walks the same states breadth-first but lists each move
+clique (below) once, from its first vertex; it gives piece codes and
+Schreier balls.
 ``find_n0`` walks no piece: by the key lemma (below) a point's piece is
 fixed by its window's slot pattern and the point's letters.
 
@@ -33,9 +33,11 @@ in bit 1 alone, so an A-move to c keeps the other letters and lands on the
 fiber where x1 = 0 if c = 0, else on its A-neighbour, whichever member it
 starts from, if that fiber is in the window.  A B-move flips only the bit
 after the first star j, so both fibers of a B-clique show the same pair,
-and the argument repeats with ``v`` for ``x1``.  So a clique is named by
-arithmetic on any member's packed state: clear ``x1`` (the pair) and put
-the fiber where ``x1`` (``v``) is zero, in the window or not.
+and the argument repeats with ``v`` for ``x1``.  So any member lists its
+clique: its other letters, with each value of ``x1`` (the pair) at the
+fiber where ``x1`` (``v``) is zero or at that fiber's neighbour.  A clique
+has one member per value, d for A and (d - 1) d for B, less those at a
+fiber outside the window.
 
 Minimality.  No two vertices of a piece are bisimilar: a move writes only
 letters in view (``x1``, or the visible pair at the current fiber), and
@@ -103,9 +105,6 @@ from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
-
-import numpy as np
 
 from .core import AGen, Config, ResourceCap
 from .points import (
@@ -141,8 +140,7 @@ __all__ = [
 # (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
 # distinct points in every ball, radius 5 does not.  The audit reports
 # n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
-# replay collision; it takes about 0.4 s on a 2-vCPU host (Python 3.11,
-# numpy 2.4):
+# replay collision; it takes about 0.4 s on a 2-vCPU host (Python 3.11.7):
 #
 #   cfg = Config.default(5)
 #   find_n0(cfg, sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2), radius=8)
@@ -545,13 +543,12 @@ def is_quasi_level(piece: GrayPiece) -> int | None:
 
 
 class _Window:
-    """The packing of piece states over one Gray window into machine ints.
+    """Piece states over one Gray window, and the walk that visits them.
 
-    A state -- fiber, and letters at the window's slots plus the formal pair
-    when the window shows it -- packs into one int: ``bits`` bits per letter
-    (enough for the letter ``d - 1``), the fiber offset from ``lo`` above
-    them.  The window depends on the center's Gray word alone, so one
-    packing serves every point over that word."""
+    A state is a fiber and the letters at the window's slots, plus the
+    formal pair when the window shows it: ``(fiber, letters)``, the form of
+    ``GrayPiece.verts``.  The window depends on the center's Gray word
+    alone, so one window serves every point over that word."""
 
     def __init__(self, p: TildePoint, lo: int, hi: int):
         if not lo <= 0 <= hi:
@@ -565,14 +562,6 @@ class _Window:
             j = first_star(w)
             self.pair_slots.append((nfin, nfin + 1) if j is OMEGA else (slot_index[j], slot_index[j + 1]))
         self.d, self.lo, self.hi = p.d, lo, hi
-        self.bits = (p.d - 1).bit_length()
-        # per fiber offset: bit offsets of x1 and of the visible pair
-        self.shifts = self.bits * np.array([(0, iu, iv) for iu, iv in self.pair_slots], dtype=np.int64)
-        self.shift = self.bits * (nfin + (2 if self.has_pair else 0))
-        self.width = self.shift + (hi - lo + 1).bit_length()  # bits of a packed state
-
-    def fits(self) -> bool:
-        return self.width <= 62
 
     def letters(self, q: TildePoint) -> tuple[int, ...]:
         """Letters of a point over the window's center word at the slots,
@@ -584,124 +573,76 @@ class _Window:
             letters += (q.tail.a, q.tail.b)
         return letters
 
-    def state(self, q: TildePoint) -> int:
-        """Packed state of a point over the window's center word."""
-        packed = 0
-        for i, x in enumerate(self.letters(q)):
-            packed |= x << (self.bits * i)
-        return (-self.lo << self.shift) | packed
-
     def point(self, p: TildePoint, letters: tuple[int, ...]) -> TildePoint:
         """The point that has ``letters`` at the window's slots (and formal
         pair) and agrees with ``p`` everywhere else."""
         pair = letters[-2:] if self.has_pair else None
         return with_letters(p, dict(zip(self.slots, letters)), pair=pair)
 
-    def unpack(self, states: np.ndarray) -> list[tuple[int, ...]]:
-        """The letters of each packed state, in the order ``letters`` gives."""
-        mask = (1 << self.bits) - 1
-        cols = [((states >> (self.bits * i)) & mask).tolist() for i in range(self.shift // self.bits)]
-        return list(zip(*cols))
+    def walk(self, start: tuple[int, tuple[int, ...]], layers: int | None = None) -> tuple[list, tuple, tuple]:
+        """Breadth-first walk of the piece of the state ``start`` by its move
+        cliques (clique lemma), stopped after ``layers`` layers if given.
 
-    def piece(self, start: int) -> np.ndarray:
-        """The piece of packed state ``start`` in clique form: row i of the
-        int32 table is ``[fiber, x1, u, v, A-clique, B-clique]`` of the i-th
-        vertex in breadth-first order from ``start``."""
-        walk = list(self.layers(start))
-        states = np.concatenate([step[0] for step in walk])
-        ko = states >> self.shift
-        table = np.empty((states.size, 6), dtype=np.int32)
-        table[:, 0] = ko + self.lo
-        for col, shifts in enumerate(self.shifts.T, 1):  # a column at a time keeps the peak low
-            table[:, col] = (states >> shifts[ko]) & ((1 << self.bits) - 1)
-        for kind in (1, 2):
-            members = np.concatenate([step[kind] for step in walk[1:]])
-            table[members[members >= 0], 3 + kind] = np.nonzero(members >= 0)[0]
-        return table
+        Returns ``(verts, of, members)``: the states in breadth-first order;
+        per clique kind, A then B, each vertex's clique number (-1 for a
+        clique not expanded, which only a stopped walk's last layer has);
+        and each clique's member numbers, one per letter (pair) in label
+        order, -1 for a member outside the window.  A clique is expanded once, from
+        its first vertex, so the walk numbers vertices in
+        ``GrayPiece.build``'s order.  A clique's members in the window are
+        counted before it is listed, and each of them joins the walk, so a
+        clique of more than ``_PIECE_CAP`` raises ``ResourceCap`` at once,
+        and so does the vertex that takes the walk past ``_PIECE_CAP``."""
+        d, lo, hi = self.d, self.lo, self.hi
+        verts = [start]
+        index = {start: 0}
+        of: tuple[list[int], list[int]] = ([-1], [-1])
+        members: tuple[list[array], list[array]] = ([], [])
 
-    def rows(self, start: int) -> np.ndarray:
-        """``piece`` with each table row replaced by the int32 trace row
-        ``[fiber, x1, u, v, target per label]``: by the clique lemma the
-        targets are the other members of the vertex's A-clique by ``x1``,
-        then of its B-clique by ``(u, v)``."""
-        table = self.piece(start)
-        d, n = self.d, len(table)
-        rows = [table[:, :4]]
-        pair = (table[:, 2] - 1) * d + table[:, 3]
-        for clique, letter, count in ((table[:, 4], table[:, 1], d), (table[:, 5], pair, d * (d - 1))):
-            members = np.full((int(clique.max()) + 1, count), -1, dtype=np.int32)
-            members[clique, letter] = np.arange(n, dtype=np.int32)
-            rows.append(members[clique])
-            rows[-1][np.arange(n), letter] = -1  # no move keeps the letter
-        return np.hstack(rows)
+        def expand(kind: int, k: int, letters: tuple[int, ...], at: int) -> None:
+            # the clique rewrites the letters from ``at`` on (x1, or the
+            # pair); its last one picks the fiber
+            width = 1 + kind
+            other = _b_neighbor_index(k) if kind else _a_neighbor_index(k)
+            zero, other = (k, other) if letters[at + width - 1] == 0 else (other, k)
+            in_zero, in_other = lo <= zero <= hi, lo <= other <= hi
+            count = (d - 1) ** kind * (in_zero + (d - 1) * in_other)
+            if count > _PIECE_CAP:
+                raise ResourceCap(
+                    f"{'AB'[kind]}-clique of {count} vertices in the window exceeds _PIECE_CAP = {_PIECE_CAP}"
+                )
+            head, tail = letters[:at], letters[at + width :]
+            labels = itertools.product(range(1, d), range(d)) if kind else itertools.product(range(d))
+            number, row, owner = len(members[kind]), array("i"), of[kind]
+            for lab in labels:
+                fiber, inside = (other, in_other) if lab[-1] else (zero, in_zero)
+                if not inside:
+                    row.append(-1)
+                    continue
+                state = (fiber, head + lab + tail)
+                j = index.get(state)
+                if j is None:
+                    j = index[state] = len(verts)
+                    verts.append(state)
+                    of[0].append(-1)
+                    of[1].append(-1)
+                    if len(verts) > _PIECE_CAP:
+                        raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {len(verts)} reached")
+                owner[j] = number
+                row.append(j)
+            members[kind].append(row)
 
-    def layers(self, start: int) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
-        """Walk the piece of packed state ``start`` one breadth-first layer at
-        a time.  Each step yields the packed states of the next layer, then
-        the member tables of the A- and B-cliques first met in the layer
-        before it (None at the first step): a row per clique, a column per
-        letter in label order, and the member's number there, or -1 for a
-        fiber outside the window.  The last step yields no states.  A layer
-        is expanded only when the walk is resumed after it.  More than
-        ``_PIECE_CAP`` vertices raise ``ResourceCap``.  A clique that meets a
-        layer was expanded already exactly when it meets the layer before; if
-        not, it is expanded from its first vertex, and its members lie in this
-        layer or the next.  A fresh vertex is numbered by its first place,
-        its clique's first vertex's place times d**2 plus its label's index:
-        ``GrayPiece.build``'s order."""
-        d, lo, hi, shift = self.d, self.lo, self.hi, self.shift
-        mask, fibers = (1 << self.bits) - 1, range(lo, hi + 1)
-        sx1, siu, siv = self.shifts.T
-        pair_u, pair_v = np.divmod(np.arange(d, d * d), d)
-        # per clique kind, by fiber offset: the bits its moves rewrite, the shift of the letter
-        # whose zeroness picks the fiber, the other fiber, member bits; by member: zero?, label
-        kinds = (
-            (np.full(len(fibers), mask), sx1, np.array([_a_neighbor_index(k) - lo for k in fibers]),
-             np.tile(np.arange(d), (len(fibers), 1)), np.arange(d) == 0, np.arange(d)),
-            ((mask << siu) | (mask << siv), siv, np.array([_b_neighbor_index(k) - lo for k in fibers]),
-             (pair_u << siu[:, None]) | (pair_v << siv[:, None]), pair_v == 0, np.arange(d, d * d)),
-        )
-        layer, first = np.array([start], dtype=np.int64), 0  # in number order, and its first number
-        met = [np.empty(0, dtype=np.int64)] * 2  # keys of the cliques the layer before meets
-        members = [None, None]
-        while True:
-            yield layer, *members
-            if not layer.size:
-                return
-            ko = layer >> shift
-            low = layer & ((1 << shift) - 1)
-            cand, place = [], []  # candidate states, -1 outside the window, and their places
-            for k, (bits, zero_shift, other, member_bits, member_zero, labels) in enumerate(kinds):
-                # a clique's key: its member's state with the rewritten bits
-                # cleared, at the fiber where the picking letter is zero
-                zero = ((low >> zero_shift[ko]) & mask) == 0
-                z = np.where(zero, ko, other[ko])
-                base = low & ~bits[ko]
-                keys, at = np.unique((z << shift) | base, return_index=True)
-                prev = met[k]  # sorted and unique, as keys are
-                if prev.size:
-                    at = at[prev[np.minimum(np.searchsorted(prev, keys), prev.size - 1)] != keys]
-                met[k] = keys
-                fiber = np.where(member_zero, z[at, None], np.where(zero, other[ko], ko)[at, None])
-                state = (fiber << shift) | base[at, None] | member_bits[ko[at]]
-                cand.append(np.where((fiber >= 0) & (fiber <= hi - lo), state, -1).ravel())
-                place.append((at[:, None] * d * d + labels).ravel())
-            split = cand[0].size
-            cand, place = np.concatenate(cand), np.concatenate(place)
-
-            order = np.argsort(layer)
-            pos = order[np.minimum(np.searchsorted(layer, cand, sorter=order), layer.size - 1)]
-            ids = np.where(layer[pos] == cand, first + pos, -1)
-            fresh = np.flatnonzero((cand >= 0) & (ids < 0))
-            fresh = fresh[np.argsort(place[fresh])]  # in order of first place
-            _, at, which = np.unique(cand[fresh], return_index=True, return_inverse=True)
-            first += layer.size
-            ids[fresh] = first + at.argsort().argsort()[which]
-            layer = cand[fresh[np.sort(at)]]
-            if first + layer.size > _PIECE_CAP:
-                raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {first + layer.size} reached")
-            ids = ids.astype(np.int32)
-            members = [ids[:split].reshape(-1, d), ids[split:].reshape(-1, d * (d - 1))]
+        layer, depth = range(1), 1
+        while layer and depth != layers:
+            first = len(verts)
+            for i in layer:
+                k, letters = verts[i]
+                if of[0][i] < 0:
+                    expand(0, k, letters, 0)
+                if of[1][i] < 0:
+                    expand(1, k, letters, self.pair_slots[k - lo][0])
+            layer, depth = range(first, len(verts)), depth + 1
+        return verts, of, members
 
 
 def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
@@ -710,16 +651,12 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
 
     A move changes the fiber by at most one, so no path of ``radius`` moves
     leaves the fibers -radius..radius: the ball is the first ``radius + 1``
-    breadth-first layers of the piece of ``p`` over that window.  The packed
-    walk stops after them, and each state becomes a point by
-    ``_Window.point``, the map ``GrayPiece.point_of`` uses.  A window too
-    wide to pack raises ``ResourceCap`` before any walk."""
+    breadth-first layers of the piece of ``p`` over that window.  The walk
+    stops after them, and each state becomes a point by ``_Window.point``,
+    the map ``GrayPiece.point_of`` uses."""
     win = _Window(p, -radius, radius)
-    if not win.fits():
-        raise ResourceCap(f"a radius-{radius} ball needs {win.width}-bit packed states; at most 62 fit")
-    walk = islice(win.layers(win.state(p)), radius + 1)
-    states = np.concatenate([layer for layer, _, _ in walk])
-    return [win.point(p, letters) for letters in win.unpack(states)]
+    verts, _, _ = win.walk((0, win.letters(p)), layers=radius + 1)
+    return [win.point(p, letters) for _, letters in verts]
 
 
 def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: int) -> list[tuple]:
@@ -728,8 +665,8 @@ def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: in
     ``points[i]``.  By the key lemma (module docstring) the key is the
     window's slot pattern and the point's letters in slot-label order.
     Points over one Gray word share the window, so each Gray word gets one
-    ``_Window`` and each point one ``letters`` call, and no piece is walked:
-    the key needs no packing, so it serves windows of every width."""
+    ``_Window`` and each point one ``letters`` call, and no piece is walked,
+    so the key serves pieces of every size."""
     shapes: dict[GrayWord, tuple] = {}  # per Gray word: window, slots by label, slot pattern
     keys = []
     for q, w in zip(points, words):
@@ -751,9 +688,11 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
     The trace in _trace_code renumbers vertices by a breadth-first walk from
     the basepoint in label order -- exactly the order in which build discovers
     them -- so from the basepoint the renumbering is the identity and the
-    digest is the hash of the packed walk's rows.  Byte-for-byte equality
-    with the two-pass route is pinned by a test.  Windows too wide to pack
-    states into machine ints fall back to the two-pass route.
+    digest hashes the rows ``[fiber, x1, u, v, target per label]`` of
+    ``_Window.walk`` in its order.  By the clique lemma a vertex's targets are
+    the other members of its A-clique by ``x1``, then of its B-clique by
+    ``(u, v)``.  Rows are streamed into the hash one at a time.  Byte-for-byte
+    equality with the two-pass route is pinned by a test.
 
     A piece is determined by the window's Gray words together with the
     letters of ``q`` at the window's visible positions (plus the formal pair
@@ -770,10 +709,18 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
             return code
         if len(memo) > 1_000_000:
             memo.clear()
-    if win.fits():
-        code = hashlib.sha256(win.rows(win.state(q))).digest()
-    else:
-        code = GrayPiece.build(q, lo, hi).code()
+    d = win.d
+    verts, (of_a, of_b), (a_members, b_members) = win.walk((0, win.letters(q)))
+    h = hashlib.sha256()
+    for (k, letters), a, b in zip(verts, of_a, of_b):
+        iu = win.pair_slots[k - lo][0]
+        x1, u, v = letters[0], letters[iu], letters[iu + 1]
+        row = array("i", (k, x1, u, v))
+        row += a_members[a]
+        row += b_members[b]
+        row[4 + x1] = row[4 + u * d + v] = -1  # no move keeps its letter
+        h.update(row)
+    code = h.digest()
     if key is not None:
         memo[key] = code
     return code
@@ -810,7 +757,7 @@ def find_n0(
 ) -> dict:
     """Smallest piece radius n such that around every sampled basepoint all
     distinct points within graph distance ``radius`` have pairwise distinct
-    central pieces of radius n.  Each ball is built once, by the packed
+    central pieces of radius n.  Each ball is built once, by the clique
     walk of ``schreier_ball``; the replay pass re-keys the balls the search
     built at the final value in one sweep.  Both passes key a ball's points,
     projected once, with ``_fiber_keys``, which decides equal ``piece_code``

@@ -10,6 +10,7 @@ recovered, not assumed.
 
 import itertools
 import random
+import time
 from collections import deque
 
 import networkx as nx
@@ -550,7 +551,6 @@ def test_find_n0_rejects_bad_bounds():
     [
         (6, 3, {"n0": 2, "balls": 12, "vertices": 3332, "pairs_checked": 696980}),
         (7, 3, {"n0": 2, "balls": 12, "vertices": 5594, "pairs_checked": 2289492}),
-        # d = 9 is the first degree with four bits per packed letter
         (9, 2, {"n0": 1, "balls": 12, "vertices": 1761, "pairs_checked": 128388}),
     ],
 )
@@ -563,11 +563,10 @@ def test_find_n0_at_other_degrees(d, radius, want):
 
 
 def test_piece_code_matches_two_pass_build():
-    # piece_code hashes the rows of a packed-state BFS; the two-pass route
+    # piece_code hashes the rows of the clique walk; the two-pass route
     # materialises the graph and canonicalises it afterwards.  They must agree
     # byte for byte on every window shape, spans 1 to 11, including ones with
-    # only a virtual pair in view, and at every degree: d = 9 is the first that
-    # needs four bits per letter.
+    # only a virtual pair in view, and at degrees 5, 8 and 9.
     rng = random.Random(0xF15E)
     pts = sample_points(CFG, 12, salt="fused", max_prefix=4, max_period=3)
     pts.append(parse_point("000[34]", 5))
@@ -619,7 +618,7 @@ def test_window_keys_shared_exactly_when_piece_codes_equal():
 
 
 def test_fiber_keys_walk_no_piece(monkeypatch):
-    # The keys come from the windows alone: with the packed walk disabled
+    # The keys come from the windows alone: with the clique walk disabled
     # they still partition the d = 5 rounds as the piece codes do, computed
     # before the walk is disabled.
     points = _shared_inputs(5, 2, 2)
@@ -629,17 +628,15 @@ def test_fiber_keys_walk_no_piece(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the keys walked a piece")
 
-    monkeypatch.setattr(pieces_mod._Window, "layers", no_walk)
+    monkeypatch.setattr(pieces_mod._Window, "walk", no_walk)
     for n, want in codes.items():
         assert _partition(_fiber_keys(points, words, -n, n)) == _partition(want), n
-    # Nor do they pack: at the first degree whose radius-1 window does not
-    # fit 62 bits (found as in test_schreier_ball_too_wide_to_pack), points
-    # get keys, not a ResourceCap.  A point that differs only at a position
-    # the window does not show shares the key; one that differs at a slot
-    # does not.
-    d = 5
-    while _Window(periodic_point(d, (1, 0, 2), (3,)), -1, 1).fits():
-        d = 2 * d - 1
+    # Nor do they depend on the piece's size: at a degree whose radius-1
+    # pieces are past any cap (see test_schreier_ball_clique_cap), points get
+    # keys, not a ResourceCap.  A point that differs only at a position the
+    # window does not show shares the key; one that differs at a slot does
+    # not.
+    d = 16_385
     points = [periodic_point(d, prefix, (3,)) for prefix in ((1, 0, 2), (1, 0, 2, 3, 3, 9), (1, 0, 5))]
     keys = _fiber_keys(points, [gray_projection(q) for q in points], -1, 1)
     assert keys[0] == keys[1] != keys[2], d
@@ -808,8 +805,8 @@ def _layers_within(adj, start: int, radius: int) -> list[int]:
 
 
 def test_schreier_ball_is_the_tuple_piece_within_radius():
-    # schreier_ball walks the packed move rule; GrayPiece.build uses the
-    # tuple rule.  A ball of radius r lies in the fibers -r..r, so it must be
+    # schreier_ball walks the move cliques; GrayPiece.build uses the
+    # one-move rule.  A ball of radius r lies in the fibers -r..r, so it must be
     # the piece over [-r, r] cut at depth r, in the same breadth-first order.
     rng = random.Random("ball-vs-piece")
     cases = [(sample_point(rng, 5, max_prefix=4, max_period=2), 3) for _ in range(6)]
@@ -825,7 +822,7 @@ def test_schreier_ball_is_the_tuple_piece_within_radius():
 
 def test_schreier_ball_matches_enumeration_oracle():
     # The oracle's edges come from letter differences alone, so this shares
-    # no move code with the packed walk: the ball's (fiber, letters) states
+    # no move code with the clique walk: the ball's (fiber, letters) states
     # are the oracle component's states within distance r of the basepoint.
     r = 2
     pts = sample_points(CFG, 4, salt="ball-oracle", max_prefix=4, max_period=2)
@@ -849,39 +846,30 @@ def test_schreier_ball_matches_enumeration_oracle():
         assert got == want and len(ball) == len(want), p
 
 
-def test_schreier_ball_too_wide_to_pack(monkeypatch):
-    # At the smallest degree whose radius-1 window does not pack into 62
-    # bits, the ball raises before any walk and names the bits it needs.  A
-    # letter's width grows only past a power of two, so that degree is one
-    # more than a power of two.
-    def point(d):
-        return periodic_point(d, (1, 0, 2), (3,))
-
-    d = 5
-    while _Window(point(d), -1, 1).fits():
-        d = 2 * d - 1
-    need = _Window(point(d), -1, 1).width
-    assert need > 62 and _Window(point(d - 1), -1, 1).width <= 62
-
-    def no_walk(*args):
-        raise AssertionError("the ball walked a window too wide to pack")
-
-    monkeypatch.setattr(pieces_mod._Window, "layers", no_walk)
-    with pytest.raises(ResourceCap, match=f"{need}-bit"):
-        schreier_ball(point(d), 1)
+def test_schreier_ball_clique_cap():
+    # A clique's members in the window are counted before it is listed, and
+    # every one of them joins the ball, so a clique past _PIECE_CAP raises at
+    # once: at d = 16,385 the radius-1 ball of 102(3) has a B-clique of
+    # (d - 1) d vertices, which is never listed.
+    t = time.perf_counter()
+    want = r"^B-clique of 268451840 vertices in the window exceeds _PIECE_CAP = 2000000$"
+    with pytest.raises(ResourceCap, match=want):
+        schreier_ball(periodic_point(16_385, (1, 0, 2), (3,)), 1)
+    assert time.perf_counter() - t < 1.0
 
 
 def test_vertex_cap_boundary(monkeypatch):
     # _PIECE_CAP bounds the vertex count: a piece of exactly the cap passes,
-    # one more vertex raises, in the two-pass build and the packed walk alike.
+    # one more vertex raises, in the two-pass build and the clique walk alike.
     p = parse_point("3332[24]", 5)
     win = _Window(p, -1, 1)
+    start = (0, win.letters(p))
     size = GrayPiece.build(p, -1, 1).size
     monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size)
-    assert len(win.rows(win.state(p))) == size
+    assert len(win.walk(start)[0]) == size
     assert GrayPiece.build(p, -1, 1).size == size
     monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size - 1)
-    with pytest.raises(ResourceCap):
+    with pytest.raises(ResourceCap, match=f"^piece exceeded {size - 1} vertices: {size} reached$"):
         GrayPiece.build(p, -1, 1)
-    with pytest.raises(ResourceCap):
-        win.rows(win.state(p))
+    with pytest.raises(ResourceCap, match=f"^piece exceeded {size - 1} vertices: {size} reached$"):
+        win.walk(start)
