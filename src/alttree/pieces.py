@@ -587,8 +587,8 @@ class _Window:
         per clique kind, A then B, each vertex's clique number (-1 for a
         clique not expanded, which only a stopped walk's last layer has);
         and each clique's member numbers, one per letter (pair) in label
-        order, -1 for a member outside the window.  A clique is expanded once, from
-        its first vertex, so the walk numbers vertices in
+        order, -1 for a member outside the window.  A clique is expanded
+        once, from its first vertex, so the walk numbers vertices in
         ``GrayPiece.build``'s order.  A clique's members in the window are
         counted before it is listed, and each of them joins the walk, so a
         clique of more than ``_PIECE_CAP`` raises ``ResourceCap`` at once,
