@@ -22,6 +22,13 @@ Group elements are plain tuples of generators ("words"); the word
 ``(g1, g2, g3)`` acts as the composition ``g1 o g2 o g3`` (rightmost
 acts first).  Everything here is exact: no floats, no approximation.
 
+Every generator carries its degree, so a word's degree is the common
+degree of its letters once the word is reduced (``_degree`` decides it).
+Word functions take a ``d`` only where the empty word needs one
+(``wreath_decompose``, ``as_nucleus``, ``portrait``), and they reject a
+word of another degree.  Letters of two degrees in one reduced word raise
+``ValueError("degree mismatch")`` wherever a word's degree is read.
+
 Every word is built from a few generator objects, so each generator
 computes its inverse (whose inverse is the generator itself), its tuple of
 sections and its hash once and keeps them.  Products, inverses and
@@ -119,6 +126,8 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         # (p * q)(x) = p(q(x))
         images = self.images
+        if len(images) != len(other.images):
+            raise ValueError("degree mismatch")
         return Perm._unchecked(tuple([images[y] for y in other.images]))
 
     def inverse(self) -> "Perm":
@@ -354,6 +363,19 @@ def b_gen(rho: Perm, sigmas=None) -> Gen:
 # words
 
 
+def _degree(word: Word, d: int | None = None) -> int | None:
+    """The common degree of the word's letters, or ``d`` for the empty word.
+
+    Two letters of different degrees, or a letter whose degree is not the
+    given ``d``, raise ``ValueError("degree mismatch")``."""
+    for g in word:
+        if d is None:
+            d = g.d
+        elif g.d != d:
+            raise ValueError("degree mismatch")
+    return d
+
+
 def reduce_word(word: Word) -> Word:
     """Drop identity letters and cancel adjacent inverse pairs."""
     out: list[Gen] = []
@@ -375,11 +397,10 @@ def apply_word(word: Word, w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def root_perm(word: Word) -> Perm:
-    d = word[0].d if word else None
-    if d is None:
+    if not word:
         raise ValueError("cannot take the root permutation of the empty word with no degree")
-    p = Perm.identity(d)
-    for g in word:
+    p = word[0].root()
+    for g in word[1:]:
         p = p * g.root()
     return p
 
@@ -434,8 +455,12 @@ def inverse_word(word: Word) -> Word:
 
 
 def wreath_decompose(word: Word, d: int) -> tuple[tuple[Word, ...], Perm]:
-    """The first-level decomposition ``(sections 0..d-1, root permutation)``."""
+    """The first-level decomposition ``(sections 0..d-1, root permutation)``.
+
+    ``d`` is the degree of the empty word; a word of another degree raises
+    ValueError."""
     word = reduce_word(word)
+    _degree(word, d)
     if not word:
         return tuple(() for _ in range(d)), Perm.identity(d)
     secs = tuple(section_word(word, (x,)) for x in range(d))
@@ -446,22 +471,23 @@ _IDENTITY_CACHE: dict[Word, bool] = {}
 _ID_CACHE_CAP = 1_000_000
 
 
-def is_identity(word: Word, d: int | None = None) -> bool:
+def is_identity(word: Word) -> bool:
     """Exact triviality test.
 
     A tree automorphism given by a word is trivial iff every section
     reachable from it (including itself) has a trivial root permutation.
     Sections never lengthen a word and their letters stay inside a fixed
-    finite set, so the walk below visits finitely many words.
+    finite set, so the walk below visits finitely many words.  The empty
+    word is trivial; letters of two degrees raise ValueError.  Only words
+    that passed that check enter the cache, so a hit skips it.
     """
     word = reduce_word(word)
     if not word:
         return True
-    if d is None:
-        d = word[0].d
     cached = _IDENTITY_CACHE.get(word)
     if cached is not None:
         return cached
+    d = _degree(word)
     visited: set[Word] = set()
     stack = [word]
     while stack:
@@ -476,7 +502,7 @@ def is_identity(word: Word, d: int | None = None) -> bool:
             return False
         visited.add(w)
         if len(visited) > _ID_CACHE_CAP:
-            raise ResourceCap("identity check visited too many section words")
+            raise ResourceCap(f"is_identity: {len(visited)} words exceed _ID_CACHE_CAP = {_ID_CACHE_CAP}")
         for x in range(d):
             sw = section_word(w, (x,))
             if sw and sw not in visited:
@@ -488,8 +514,9 @@ def is_identity(word: Word, d: int | None = None) -> bool:
     return True
 
 
-def equals(u: Word, v: Word, d: int | None = None) -> bool:
-    return is_identity(reduce_word(tuple(u) + inverse_word(v)), d)
+def equals(u: Word, v: Word) -> bool:
+    """Whether two words act alike; letters of two degrees raise ValueError."""
+    return is_identity(reduce_word(tuple(u) + inverse_word(v)))
 
 
 _ORDER_BOUND = 360  # powers order_of tries
@@ -510,16 +537,19 @@ def as_nucleus(word: Word, d: int) -> Gen | None:
     """The single ``A``/``B`` generator this word equals, if any.
 
     Returns the identity generator for trivial words, an ``AGen`` or
-    ``BGen`` when the word collapses to one, and None otherwise.
+    ``BGen`` when the word collapses to one, and None otherwise.  ``d`` is
+    the degree of the empty word; a word of another degree raises
+    ValueError.
     """
     word = reduce_word(word)
+    _degree(word, d)
     if not word:
         return identity_gen(d)
     if len(word) == 1:
         return word[0]
     root = root_perm(word)
     secs = [section_word(word, (x,)) for x in range(d)]
-    if all(is_identity(s, d) for s in secs):
+    if all(is_identity(s) for s in secs):
         return a_gen(root)
     if root(0) != 0:
         return None
@@ -528,11 +558,11 @@ def as_nucleus(word: Word, d: int) -> Gen | None:
         s = secs[i]
         tau = root_perm(s) if s else Perm.identity(d)
         # the slot section must be a pure first-letter permutation
-        if not equals(s, (a_gen(tau),) if not tau.is_identity() else (), d):
+        if not equals(s, (a_gen(tau),) if not tau.is_identity() else ()):
             return None
         slots[i] = tau
     cand = b_gen(root, slots)
-    if equals(word, (cand,) if not is_identity_gen(cand) else (), d):
+    if equals(word, (cand,) if not is_identity_gen(cand) else ()):
         return cand
     return None
 
@@ -550,14 +580,22 @@ class Portrait:
     children: tuple["Portrait", ...] | None
 
 
+_PORTRAIT_BOUND = 64  # levels one portrait unrolls
+
+
 def portrait(word: Word, depth: int, d: int | None = None) -> Portrait:
-    if depth > 64:
-        raise ResourceCap("portrait depth capped at 64")
+    """The portrait of the word down to ``depth`` levels.
+
+    ``d`` is needed only for the empty word; a word of another degree
+    raises ValueError, and so does a negative depth."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    if depth > _PORTRAIT_BOUND:
+        raise ResourceCap(f"portrait: depth {depth} exceeds _PORTRAIT_BOUND = {_PORTRAIT_BOUND}")
     word = reduce_word(word)
+    d = _degree(word, d)
     if d is None:
-        d = word[0].d if word else None
-        if d is None:
-            raise ValueError("portrait of the empty word needs an explicit degree")
+        raise ValueError("portrait of the empty word needs an explicit degree")
     root = root_perm(word) if word else Perm.identity(d)
     if depth == 0:
         return Portrait(root, None)

@@ -30,6 +30,7 @@ from .core import (
     Gen,
     ResourceCap,
     Word,
+    _degree,
     apply_word,
     as_nucleus,
     is_identity,
@@ -466,8 +467,9 @@ class ClopenSet:
                 out.append(c)
             else:
                 stack.extend(c.children())
-            if len(out) + len(stack) > _REFINE_CAP:
-                raise ResourceCap("refinement exceeded the cylinder cap")
+            held = len(out) + len(stack)
+            if held > _REFINE_CAP:
+                raise ResourceCap(f"refine_to_depth: {held} cylinders exceed _REFINE_CAP = {_REFINE_CAP}")
         return frozenset(out)
 
     def texts(self) -> list[str]:
@@ -529,7 +531,7 @@ def empty_set(d: int) -> ClopenSet:
 # images of cylinders under group words
 
 
-def image_of_cylinder(word: Word, eta: PathPrefix, _depth_cap: int = 64) -> ClopenSet:
+def image_of_cylinder(word: Word, eta: PathPrefix, _depth: int = 0) -> ClopenSet:
     """The exact image of the cylinder of ``eta`` under the word.
 
     If the section at the label word acts trivially the image is the
@@ -537,15 +539,15 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth_cap: int = 64) -> Clop
     equal to one recursion generator moves every member's visible pair
     the same way, so only the end vertex is relabelled.  Anything else
     is pushed one level down and recursed; shrinking sections make this
-    bottom out.  A generator of another degree than the path's raises
-    ValueError.
+    bottom out, and ``_depth`` counts the levels below the first cylinder
+    up to ``_DEPTH_BOUND``.  A generator of another degree than the path's
+    raises ValueError.
     """
     d = eta.d
     word = reduce_word(word)
-    if any(g.d != d for g in word):
-        raise ValueError("degree mismatch")
+    _degree(word, d)
     sec = section_word(word, eta.labels)
-    if is_identity(sec, d):
+    if is_identity(sec):
         return ClopenSet(
             d, (PathPrefix._unchecked(d, apply_word(word, eta.labels), eta.end),)
         )
@@ -557,11 +559,12 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth_cap: int = 64) -> Clop
             return ClopenSet(
                 d, (PathPrefix._unchecked(d, apply_word(word, eta.labels), v2),)
             )
-    if _depth_cap <= 0:
-        raise ResourceCap("image recursion exceeded the depth cap")
+    if _depth >= _DEPTH_BOUND:
+        raise ResourceCap(f"image_of_cylinder: recursion depth {_depth} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")
     pieces: list[PathPrefix] = []
     for child in eta.children():
-        pieces.extend(image_of_cylinder(word, child, _depth_cap - 1).cylinders)
+        # through the module-level name, so a wrapper sees every level
+        pieces.extend(image_of_cylinder(word, child, _depth + 1).cylinders)
     return clopen(d, pieces)
 
 
@@ -579,7 +582,7 @@ def image_of_clopen(word: Word, C: ClopenSet) -> ClopenSet:
 def tower(d: int, v: Vertex, n: int) -> tuple[PathPrefix, ...]:
     """All depth-``n`` paths ending at ``v`` — one per label word."""
     if d**n > _TOWER_CAP:
-        raise ResourceCap(f"tower would hold {d ** n} paths")
+        raise ResourceCap(f"tower: {d ** n} paths exceed _TOWER_CAP = {_TOWER_CAP}")
     if n < 1:
         raise ValueError("levels start at 1")
     if v not in vertices(d):
@@ -652,7 +655,7 @@ def full_connectivity_steps(d: int) -> int:
 _IOV_CACHE: dict[tuple, bool] = {}
 
 
-def is_identity_on_vertex(word: Word, v: Vertex | None, d: int | None = None) -> bool:
+def is_identity_on_vertex(word: Word, v: Vertex | None) -> bool:
     """Does the word act as the identity on every tail compatible with
     ``v`` (formal-pair tails included)?
 
@@ -662,16 +665,17 @@ def is_identity_on_vertex(word: Word, v: Vertex | None, d: int | None = None) ->
     section word and a vertex; the walk below visits every demand that
     the root demand reaches, as ``is_identity`` visits sections, and the
     word is trivial on the vertex iff none of them moves an edge label.
+    The empty word is trivial; letters of two degrees raise ValueError,
+    checked before the walk, so a cache hit skips the check.
     """
     word = reduce_word(word)
     if not word:
         return True
-    if d is None:
-        d = word[0].d
     root = (word, v)
     cached = _IOV_CACHE.get(root)
     if cached is not None:
         return cached
+    d = _degree(word)
     visited: set[tuple] = set()
     stack = [root]
     while stack:
@@ -697,44 +701,53 @@ def is_identity_on_vertex(word: Word, v: Vertex | None, d: int | None = None) ->
 # audits
 
 
-def nontrivial_section_words(word: Word, d: int, level: int) -> list[tuple]:
+def nontrivial_section_words(word: Word, level: int) -> list[tuple]:
     """Label words of the given length at which the word has a
     nontrivial section.  Grown level by level, so the cost tracks the
-    number of bad words rather than the full level size."""
+    number of bad words rather than the full level size.  A trivial word
+    has none; a negative level raises ValueError."""
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
     word = reduce_word(word)
-    live: dict[tuple, Word] = {}
-    if word and not is_identity(word, d):
-        live[()] = word
-    for _ in range(level):
+    if is_identity(word):
+        return []
+    d = _degree(word)
+    live: dict[tuple, Word] = {(): word}
+    for n in range(1, level + 1):
         nxt: dict[tuple, Word] = {}
         for w, s in live.items():
             for x in range(d):
                 t = section_word(s, (x,))
-                if t and not is_identity(t, d):
+                if t and not is_identity(t):
                     nxt[w + (x,)] = t
                 if len(nxt) > _SECTION_WORDS_CAP:
-                    raise ResourceCap("too many nontrivial-section words")
+                    raise ResourceCap(
+                        f"nontrivial_section_words: {len(nxt)} words exceed "
+                        f"_SECTION_WORDS_CAP = {_SECTION_WORDS_CAP}"
+                    )
         live = nxt
     return sorted(live)
 
 
-def bounded_type_audit(gen: Gen, max_level: int, d: int | None = None) -> dict:
+def bounded_type_audit(gen: Gen, max_level: int) -> dict:
     """Per level and per vertex, how many cylinders of that tower the
     generator fails to act on as a plain prefix exchange; plus the
     doubled points at the all-zero ray whose neighbourhoods never
     settle.  The report records the observed uniform bound and the level
-    from which the per-level maximum is constant."""
-    if d is None:
-        d = gen.d
+    from which the per-level maximum is constant.  Levels start at 1, so
+    ``max_level < 1`` raises ValueError."""
+    if max_level < 1:
+        raise ValueError(f"max_level must be at least 1, got {max_level}")
+    d = gen.d
     word: Word = (gen,)
     levels: dict[int, dict] = {}
     for n in range(1, max_level + 1):
-        bad = nontrivial_section_words(word, d, n)
+        bad = nontrivial_section_words(word, n)
         per_vertex = dict.fromkeys(vertices(d), 0)
         for w in bad:
             s = section_word(word, w)
             for v in vertices(d):
-                if not is_identity_on_vertex(s, v, d):
+                if not is_identity_on_vertex(s, v):
                     per_vertex[v] += 1
         levels[n] = {
             "bad_words": ["".join(map(str, w)) for w in bad],
@@ -755,7 +768,7 @@ def bounded_type_audit(gen: Gen, max_level: int, d: int | None = None) -> dict:
         for b in range(d):
             p = zero_pair_point(d, (), a, b)
             germ = all(
-                not is_identity_on_vertex(t, (a, b, 0), d) for t in ray_sections
+                not is_identity_on_vertex(t, (a, b, 0)) for t in ray_sections
             )
             if germ:
                 exceptional.append(
@@ -771,7 +784,7 @@ def bounded_type_audit(gen: Gen, max_level: int, d: int | None = None) -> dict:
     }
 
 
-def contraction_depth(word: Word, d: int | None = None) -> int:
+def contraction_depth(word: Word) -> int:
     """The first positive level at which every section of the word
     collapses to a single generator (or the identity); identity words
     report 0.  Sections of single generators stay that way, so the
@@ -779,10 +792,9 @@ def contraction_depth(word: Word, d: int | None = None) -> int:
     nontrivial word: the word itself being a generator says nothing
     about a level of the tree having absorbed its action."""
     word = reduce_word(word)
-    if d is None:
-        d = word[0].d if word else 5
-    if is_identity(word, d):
+    if is_identity(word):
         return 0
+    d = _degree(word)
     live = {word}
     for n in range(1, _DEPTH_BOUND + 1):
         live = {
@@ -807,7 +819,7 @@ def regularity_check(word: Word, p: TildePoint) -> dict:
     for n in range(_DEPTH_BOUND + 1):
         eta = encode(p, n)
         sec = section_word(word, eta.labels)
-        if not is_identity_on_vertex(sec, eta.end, d):
+        if not is_identity_on_vertex(sec, eta.end):
             continue
         image = image_of_cylinder(word, eta)
         if image != ClopenSet(d, (eta,)):
@@ -815,7 +827,7 @@ def regularity_check(word: Word, p: TildePoint) -> dict:
         nuc = as_nucleus(sec, d)
         kind = (
             "identity"
-            if is_identity(sec, d)
+            if is_identity(sec)
             else "pair-recursion"
             if isinstance(nuc, BGen)
             else "first-letter"

@@ -200,7 +200,7 @@ def level_graph(cfg: Config, n: int) -> LevelGraph:
     if n < 1:
         raise ValueError("level must be positive")
     if n > _LEVEL_CAP:
-        raise ResourceCap(f"level graphs are capped at n={_LEVEL_CAP}")
+        raise ResourceCap(f"level_graph: word length {n} exceeds _LEVEL_CAP = {_LEVEL_CAP}")
     # lexicographic order is the index order of ``LevelGraph.word_of``
     index = {w: i for i, w in enumerate(itertools.product(range(cfg.d), repeat=n))}
     adj = {name: tuple(index[g.apply(w)] for w in index) for name, g in cfg.gens}

@@ -35,6 +35,7 @@ from .core import (
     BGen,
     Gen,
     Word,
+    _degree,
     as_nucleus,
     apply_word,
     equals,
@@ -288,9 +289,7 @@ def act(word: Word, p: TildePoint) -> TildePoint:
     word = reduce_word(word)
     if not word:
         return p
-    d = p.d
-    if any(g.d != d for g in word):
-        raise ValueError("degree mismatch")
+    d = _degree(word, p.d)
     out = []
     w = word
     for x in p.prefix:
@@ -314,11 +313,15 @@ def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int) -> Gen:
     """The stable section of ``word`` along ``prefix . 0^inf``.
 
     Always a single recursion generator or the identity; the stabilization
-    depth is bounded by the section-state count (``section_orbit`` caps it)."""
-    _, chain, start = section_orbit(section_word(reduce_word(word), prefix), (0,))
+    depth is bounded by the section-state count (``section_orbit`` caps it).
+    ``d`` is the degree of the empty word; a word of another degree raises
+    ValueError."""
+    word = reduce_word(word)
+    _degree(word, d)
+    _, chain, start = section_orbit(section_word(word, prefix), (0,))
     cycle = chain[start:]
     for other in cycle[1:]:
-        if not equals(cycle[0], other, d):
+        if not equals(cycle[0], other):
             raise AssertionError("zero-ray sections cycle through distinct elements")
     g = as_nucleus(cycle[0], d)
     if g is None:

@@ -85,6 +85,13 @@ def test_perm_basics():
     assert repr(p) == "(0 1 2)"
 
 
+def test_perm_product_of_two_degrees_raises():
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        Perm.from_cycles(6, (3, 4, 5)) * Perm.from_cycles(5, (0, 1, 2))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        Perm.from_cycles(5, (0, 1, 2)) * Perm.from_cycles(6, (3, 4, 5))
+
+
 def test_perm_closure_alt5():
     import math
 

@@ -2,6 +2,7 @@
 towers, and the boundedness/regularity audits."""
 
 import itertools
+import re
 
 import pytest
 
@@ -11,11 +12,15 @@ from alttree.core import (
     Perm,
     ResourceCap,
     a_gen,
+    as_nucleus,
     b_gen,
+    equals,
     inverse_word,
     is_identity,
+    portrait,
     reduce_word,
     section_word,
+    wreath_decompose,
 )
 from alttree.corpus import rng_for, sample_point, sample_points, sample_word
 from alttree.diagram import (
@@ -48,11 +53,13 @@ from alttree.diagram import (
     vertex_text,
     vertices,
 )
+from alttree.pieces import level_graph
 from alttree.points import (
     ZeroPair,
     act,
     parse_point,
     periodic_point,
+    section_at_zero_ray,
     with_letters,
     zero_pair_point,
 )
@@ -244,6 +251,75 @@ def test_roundtrip_audit_cap_reports_count_and_cap(monkeypatch):
         roundtrip_audit(D, 2)
     monkeypatch.setattr("alttree.diagram._AUDIT_CAP", total)
     assert roundtrip_audit(D, 2)["checked"] == total
+
+
+@pytest.mark.parametrize(
+    "cap, value, call, message",
+    [
+        (
+            "alttree.core._ID_CACHE_CAP",
+            1,
+            lambda: is_identity((CFG.gen("b1"),) * 3),
+            "is_identity: 2 words exceed _ID_CACHE_CAP = 1",
+        ),
+        (
+            "alttree.core._PORTRAIT_BOUND",
+            2,
+            lambda: portrait((CFG.gen("a1"),), 3),
+            "portrait: depth 3 exceeds _PORTRAIT_BOUND = 2",
+        ),
+        (
+            "alttree.diagram._REFINE_CAP",
+            3,
+            lambda: full_space(D).refine_to_depth(2),
+            "refine_to_depth: 200 cylinders exceed _REFINE_CAP = 3",
+        ),
+        (
+            "alttree.diagram._DEPTH_BOUND",
+            1,
+            lambda: image_of_cylinder((CFG.gen("c1"),), path(D, (), None)),
+            "image_of_cylinder: recursion depth 1 reaches _DEPTH_BOUND = 1",
+        ),
+        (
+            "alttree.diagram._TOWER_CAP",
+            24,
+            lambda: tower(D, (1, 0, 1), 2),
+            "tower: 25 paths exceed _TOWER_CAP = 24",
+        ),
+        (
+            "alttree.diagram._SECTION_WORDS_CAP",
+            2,
+            lambda: nontrivial_section_words((CFG.gen("c1"), CFG.gen("c2")), 1),
+            "nontrivial_section_words: 3 words exceed _SECTION_WORDS_CAP = 2",
+        ),
+        (
+            "alttree.pieces._LEVEL_CAP",
+            2,
+            lambda: level_graph(CFG, 3),
+            "level_graph: word length 3 exceeds _LEVEL_CAP = 2",
+        ),
+    ],
+    ids=[
+        "is_identity",
+        "portrait",
+        "refine_to_depth",
+        "image_of_cylinder",
+        "tower",
+        "nontrivial_section_words",
+        "level_graph",
+    ],
+)
+def test_caps_report_count_and_cap(monkeypatch, cap, value, call, message):
+    # each call runs under its default cap; under a smaller one, the cap
+    # names what it measured and its limit
+    import alttree.core as core
+
+    core._IDENTITY_CACHE.clear()
+    call()
+    core._IDENTITY_CACHE.clear()
+    monkeypatch.setattr(cap, value)
+    with pytest.raises(ResourceCap, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_encode_reads_letters_and_next_visible():
@@ -453,6 +529,39 @@ def test_words_of_another_degree_raise():
         image_of_cylinder((CFG.gen("a1"),), path(6, (1,), "51*"))
 
 
+def test_a_word_takes_its_degree_from_its_letters():
+    """``g`` moves only the letter after a 4, which a walk over four letters
+    never reads.  Its answers are False with cold caches; the functions
+    that take a degree for the empty word reject 4 for it without caching
+    anything; and letters of two degrees in one word raise."""
+    import alttree.core as core
+
+    g = b_gen(Perm.identity(D), {4: Perm.from_cycles(D, (0, 1, 2))})
+    a1 = CFG.gen("a1")
+    core._IDENTITY_CACHE.clear()
+    diagram._IOV_CACHE.clear()
+    assert not is_identity((g,))
+    assert not is_identity_on_vertex((g,), None)
+    core._IDENTITY_CACHE.clear()
+    diagram._IOV_CACHE.clear()
+    for call in (
+        lambda: as_nucleus((g, a1, a1, a1), 4),
+        lambda: wreath_decompose((g,), 4),
+        lambda: portrait((g,), 1, 4),
+        lambda: section_at_zero_ray((g,), (), 4),
+    ):
+        with pytest.raises(ValueError, match="^degree mismatch$"):
+            call()
+    assert not is_identity((g,))
+    assert not is_identity_on_vertex((g,), None)
+    a5 = a_gen(Perm.from_cycles(5, (0, 1, 2)))
+    a6 = a_gen(Perm.from_cycles(6, (0, 1, 2)))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        equals((a5,), (a6,))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        is_identity((a5, a6))
+
+
 def test_image_then_inverse_image_roundtrip():
     rng = rng_for(CFG, "diag-image-inv")
     for _ in range(30):
@@ -569,7 +678,7 @@ def test_is_identity_on_vertex_against_members():
     seen_true = seen_false = 0
     for w in words:
         for v in vertices(D)[:: rng.randrange(3, 7)]:
-            claim = is_identity_on_vertex(w, v, D)
+            claim = is_identity_on_vertex(w, v)
             members = _vertex_tail_points(v, rng)
             moved = [p for p in members if act(w, p) != p]
             if claim:
@@ -583,18 +692,18 @@ def test_is_identity_on_vertex_against_members():
 
 def test_is_identity_on_vertex_known_cases():
     a1 = CFG.gen("a1")  # first-letter 3-cycle (0 1 2)
-    assert is_identity_on_vertex((a1,), (3, 0, 1), D)
-    assert is_identity_on_vertex((a1,), (4, 2, 1), D)
-    assert not is_identity_on_vertex((a1,), (1, 0, 1), D)
+    assert is_identity_on_vertex((a1,), (3, 0, 1))
+    assert is_identity_on_vertex((a1,), (4, 2, 1))
+    assert not is_identity_on_vertex((a1,), (1, 0, 1))
     # zero-flagged vertices demand pi(0) = 0 along the zero run
-    assert not is_identity_on_vertex((a1,), (3, 0, 0), D)
+    assert not is_identity_on_vertex((a1,), (3, 0, 0))
     r1 = CFG.gen("r1")  # rho = (1 2 3), trivial slots
-    assert is_identity_on_vertex((r1,), (4, 4, 1), D)
-    assert is_identity_on_vertex((r1,), (4, 0, 0), D)
-    assert not is_identity_on_vertex((r1,), (1, 0, 0), D)
+    assert is_identity_on_vertex((r1,), (4, 4, 1))
+    assert is_identity_on_vertex((r1,), (4, 0, 0))
+    assert not is_identity_on_vertex((r1,), (1, 0, 0))
     c1 = CFG.gen("c1")  # slot 1 cycles the follower
-    assert not is_identity_on_vertex((c1,), (1, 3, 0), D)
-    assert is_identity_on_vertex((c1,), (2, 3, 0), D)
+    assert not is_identity_on_vertex((c1,), (1, 3, 0))
+    assert is_identity_on_vertex((c1,), (2, 3, 0))
 
 
 def test_is_identity_on_vertex_at_the_top_is_is_identity():
@@ -613,8 +722,8 @@ def test_is_identity_on_vertex_at_the_top_is_is_identity():
         words.append(u + (a1, a1, a1) + inverse_word(u))
     core._IDENTITY_CACHE.clear()
     diagram._IOV_CACHE.clear()
-    cold = [(is_identity_on_vertex(w, None, D), is_identity(w, D)) for w in words]
-    warm = [(is_identity_on_vertex(w, None, D), is_identity(w, D)) for w in reversed(words)]
+    cold = [(is_identity_on_vertex(w, None), is_identity(w)) for w in words]
+    warm = [(is_identity_on_vertex(w, None), is_identity(w)) for w in reversed(words)]
     assert all(on_top == trivial for on_top, trivial in cold + warm)
     assert {trivial for _, trivial in cold} == {True, False}
 
@@ -632,7 +741,7 @@ def test_identity_caches_stop_growing_at_their_cap(monkeypatch):
     def answers():
         core._IDENTITY_CACHE.clear()
         diagram._IOV_CACHE.clear()
-        return [(is_identity(w, D), [is_identity_on_vertex(w, v, D) for v in tops]) for w in words]
+        return [(is_identity(w), [is_identity_on_vertex(w, v) for v in tops]) for w in words]
 
     want = answers()
     cap = 10
@@ -652,12 +761,22 @@ def test_nontrivial_section_words_shapes():
     c1 = CFG.gen("c1")
     a1 = CFG.gen("a1")
     for n in (1, 2, 5):
-        assert nontrivial_section_words((a1,), D, n) == []
-        assert nontrivial_section_words((r1,), D, n) == [(0,) * n]
-        assert nontrivial_section_words((c1,), D, n) == [
+        assert nontrivial_section_words((a1,), n) == []
+        assert nontrivial_section_words((r1,), n) == [(0,) * n]
+        assert nontrivial_section_words((c1,), n) == [
             (0,) * n,
             (0,) * (n - 1) + (1,),
         ]
+
+
+def test_negative_depths_and_levels_raise():
+    r1 = CFG.gen("r1")
+    with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+        portrait((r1,), -1)
+    with pytest.raises(ValueError, match="^level must be nonnegative, got -2$"):
+        nontrivial_section_words((r1,), -2)
+    with pytest.raises(ValueError, match="^max_level must be at least 1, got 0$"):
+        bounded_type_audit(r1, 0)
 
 
 def test_bounded_type_audit_a_gens():
@@ -708,12 +827,12 @@ def test_exceptional_points_match_moved_pairs():
 
 def test_contraction_depth():
     a1, r1 = CFG.gen("a1"), CFG.gen("r1")
-    assert contraction_depth((), D) == 0
-    assert contraction_depth((r1, r1.inverse()), D) == 0
-    assert contraction_depth((a1,), D) == 1
-    assert contraction_depth((r1,), D) == 1
+    assert contraction_depth(()) == 0
+    assert contraction_depth((r1, r1.inverse())) == 0
+    assert contraction_depth((a1,)) == 1
+    assert contraction_depth((r1,)) == 1
     w = (a1, r1)
-    depth = contraction_depth(w, D)
+    depth = contraction_depth(w)
     assert depth >= 1
     # at the reported depth every section really is a single generator
     from alttree.core import as_nucleus
@@ -760,11 +879,11 @@ def test_regularity_random_stabilizers():
             break
         p = sample_point(rng, D)
         w = reduce_word(tuple(rng.choice(pool)[0] for _ in range(rng.randrange(1, 4))))
-        if not w or is_identity(w, D) or act(w, p) != p:
+        if not w or is_identity(w) or act(w, p) != p:
             continue
         rep = regularity_check(w, p)
         assert rep["verified"]
-        assert rep["depth"] <= contraction_depth(w, D)
+        assert rep["depth"] <= contraction_depth(w)
         found += 1
     assert found >= 25
 

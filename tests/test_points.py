@@ -181,7 +181,7 @@ def test_section_at_zero_ray_stabilizes():
         for n in range(30):
             depths.append(w)
             w = section_word(w, (0,))
-        tail_equal = [equals(x, (g,) if not (isinstance(g, AGen) and g.pi.is_identity()) else (), D) for x in depths]
+        tail_equal = [equals(x, (g,) if not (isinstance(g, AGen) and g.pi.is_identity()) else ()) for x in depths]
         assert all(tail_equal[15:])
 
 
