@@ -23,11 +23,11 @@ Group elements are plain tuples of generators ("words"); the word
 acts first).  Everything here is exact: no floats, no approximation.
 
 Every generator carries its degree, so a word's degree is the common
-degree of its letters once the word is reduced (``_degree`` decides it).
-Word functions take a ``d`` only where the empty word needs one
-(``wreath_decompose``, ``as_nucleus``, ``portrait``), and they reject a
-word of another degree.  Letters of two degrees in one reduced word raise
-``ValueError("degree mismatch")`` wherever a word's degree is read.
+degree of its letters (``_degree`` decides it).  Word functions take a
+``d`` only where the empty word needs one (``wreath_decompose``,
+``as_nucleus``, ``portrait``), and they reject a word of another degree.
+Letters of two degrees in one word, even letters that reduction cancels,
+raise ``ValueError("degree mismatch")`` wherever a word's degree is read.
 
 Every word is built from a few generator objects, so each generator
 computes its inverse (whose inverse is the generator itself), its tuple of
@@ -186,7 +186,7 @@ def perm_closure(perms: list[Perm]) -> set[Perm]:
                     seen.add(r)
                     nxt.append(r)
                     if len(seen) > _CLOSURE_CAP:
-                        raise ResourceCap(f"permutation closure exceeded {_CLOSURE_CAP} elements")
+                        raise ResourceCap(f"perm_closure: {len(seen)} elements exceed _CLOSURE_CAP = {_CLOSURE_CAP}")
         frontier = nxt
     return seen
 
@@ -444,7 +444,7 @@ def section_orbit(word: Word, period: tuple[int, ...]) -> tuple[list[int], list[
         ys.append(apply_word(w, (x,))[0])
         sections.append(w)
         if len(ys) > _ORBIT_CAP:
-            raise ResourceCap(f"sections along a ray did not cycle within {_ORBIT_CAP} steps")
+            raise ResourceCap(f"section_orbit: {len(ys)} steps exceed _ORBIT_CAP = {_ORBIT_CAP}")
         w = section_word(w, (x,))
         phase = (phase + 1) % len(period)
     return ys, sections, seen[w, phase]
@@ -459,8 +459,8 @@ def wreath_decompose(word: Word, d: int) -> tuple[tuple[Word, ...], Perm]:
 
     ``d`` is the degree of the empty word; a word of another degree raises
     ValueError."""
-    word = reduce_word(word)
     _degree(word, d)
+    word = reduce_word(word)
     if not word:
         return tuple(() for _ in range(d)), Perm.identity(d)
     secs = tuple(section_word(word, (x,)) for x in range(d))
@@ -478,16 +478,16 @@ def is_identity(word: Word) -> bool:
     reachable from it (including itself) has a trivial root permutation.
     Sections never lengthen a word and their letters stay inside a fixed
     finite set, so the walk below visits finitely many words.  The empty
-    word is trivial; letters of two degrees raise ValueError.  Only words
-    that passed that check enter the cache, so a hit skips it.
+    word is trivial; letters of two degrees raise ValueError, on every
+    call and before the word is reduced.
     """
+    d = _degree(word)
     word = reduce_word(word)
     if not word:
         return True
     cached = _IDENTITY_CACHE.get(word)
     if cached is not None:
         return cached
-    d = _degree(word)
     visited: set[Word] = set()
     stack = [word]
     while stack:
@@ -516,7 +516,7 @@ def is_identity(word: Word) -> bool:
 
 def equals(u: Word, v: Word) -> bool:
     """Whether two words act alike; letters of two degrees raise ValueError."""
-    return is_identity(reduce_word(tuple(u) + inverse_word(v)))
+    return is_identity(tuple(u) + inverse_word(v))
 
 
 _ORDER_BOUND = 360  # powers order_of tries
@@ -524,13 +524,13 @@ _ORDER_BOUND = 360  # powers order_of tries
 
 def order_of(word: Word) -> int:
     """The order of the word as an automorphism; ResourceCap above ``_ORDER_BOUND``."""
-    word = reduce_word(word)
+    _degree(word)
     power: Word = ()
     for n in range(1, _ORDER_BOUND + 1):
         power = reduce_word(power + word)
         if is_identity(power):
             return n
-    raise ResourceCap(f"order exceeds {_ORDER_BOUND}")
+    raise ResourceCap(f"order_of: {n} powers reach _ORDER_BOUND = {_ORDER_BOUND}")
 
 
 def as_nucleus(word: Word, d: int) -> Gen | None:
@@ -541,8 +541,8 @@ def as_nucleus(word: Word, d: int) -> Gen | None:
     the degree of the empty word; a word of another degree raises
     ValueError.
     """
-    word = reduce_word(word)
     _degree(word, d)
+    word = reduce_word(word)
     if not word:
         return identity_gen(d)
     if len(word) == 1:
@@ -592,8 +592,8 @@ def portrait(word: Word, depth: int, d: int | None = None) -> Portrait:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if depth > _PORTRAIT_BOUND:
         raise ResourceCap(f"portrait: depth {depth} exceeds _PORTRAIT_BOUND = {_PORTRAIT_BOUND}")
-    word = reduce_word(word)
     d = _degree(word, d)
+    word = reduce_word(word)
     if d is None:
         raise ValueError("portrait of the empty word needs an explicit degree")
     root = root_perm(word) if word else Perm.identity(d)

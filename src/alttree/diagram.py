@@ -35,7 +35,6 @@ from .core import (
     as_nucleus,
     is_identity,
     reduce_word,
-    root_perm,
     section_orbit,
     section_word,
     word_to_json,
@@ -544,8 +543,8 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth: int = 0) -> ClopenSet
     raises ValueError.
     """
     d = eta.d
-    word = reduce_word(word)
     _degree(word, d)
+    word = reduce_word(word)
     sec = section_word(word, eta.labels)
     if is_identity(sec):
         return ClopenSet(
@@ -646,7 +645,7 @@ def full_connectivity_steps(d: int) -> int:
         cur = {v: {w for u in cur[v] for w in reach[u]} for v in cur}
         if all(len(s) == len(vertices(d)) for s in cur.values()):
             return k
-    raise ResourceCap(f"not fully connected within {_CONNECTIVITY_BOUND} steps")
+    raise ResourceCap(f"full_connectivity_steps: {k} steps reach _CONNECTIVITY_BOUND = {_CONNECTIVITY_BOUND}")
 
 
 # ---------------------------------------------------------------------------
@@ -657,44 +656,44 @@ _IOV_CACHE: dict[tuple, bool] = {}
 
 def is_identity_on_vertex(word: Word, v: Vertex | None) -> bool:
     """Does the word act as the identity on every tail compatible with
-    ``v`` (formal-pair tails included)?
+    ``v`` (formal-pair tails included)?  The tails of the top vertex are
+    the whole space, so there the answer is ``is_identity(word)``.  Below,
+    ``w|u`` is the section at the letters ``u``: ``w(u t) = w(u) w|u(t)``.
 
-    The tails of a vertex split along its out-edges, so the word is
-    trivial on the vertex iff its root fixes every edge label and every
-    section is trivial on the matching target.  A demand is a pair of a
-    section word and a vertex; the walk below visits every demand that
-    the root demand reaches, as ``is_identity`` visits sections, and the
-    word is trivial on the vertex iff none of them moves an edge label.
-    The empty word is trivial; letters of two degrees raise ValueError,
-    checked before the walk, so a cache hit skips the check.
+    Star lemma: ``w`` is trivial on the tails ``a b t`` of ``(a, b, 1)``
+    iff ``w(a b) = a b`` and ``w|ab`` is trivial, as ``t`` ranges over the
+    whole space, doubled points included, and only the identity fixes it.
+
+    Zero lemma: ``w`` is trivial on the tails of ``(a, b, 0)`` iff each
+    section ``s`` that ``section_orbit(w, (0,))`` lists, those at ``0^i``
+    up to the first repeat, has ``s(0 a b) = 0 a b`` and ``s|0ab``
+    trivial.  The tails are ``0^k a b t`` (k >= 1) and ``0^inf[a b]``.  By
+    the star lemma, ``w`` is trivial on ``0^k a b t`` iff ``w|0^i`` fixes
+    0 for i < k and ``w|0^k`` fixes ``a b`` with ``w|0^k ab`` trivial.
+    Over all k that is the test at every ``w|0^i``, and the list holds
+    them all.  ``0^inf[a b]`` goes to ``0^inf`` and the image of ``(a, b)``
+    under the cycle's section, a ``w|0^k`` (k >= 1) that fixes ``a b``.
+
+    Letters of two degrees, or a vertex their degree lacks, raise ValueError.
     """
+    if v is None:
+        return is_identity(word)
+    d = _degree(word)
     word = reduce_word(word)
     if not word:
         return True
-    root = (word, v)
-    cached = _IOV_CACHE.get(root)
+    cached = _IOV_CACHE.get((word, v))
     if cached is not None:
         return cached
-    d = _degree(word)
-    visited: set[tuple] = set()
-    stack = [root]
-    while stack:
-        demand = stack.pop()
-        w, u = demand
-        if demand in visited or not w or _IOV_CACHE.get(demand) is True:
-            continue
-        rp = root_perm(w)
-        if any(rp(lab) != lab for lab, _ in out_edges(d, u)):
-            if len(_IOV_CACHE) < _ID_CACHE_CAP:
-                _IOV_CACHE[root] = False
-            return False
-        visited.add(demand)
-        stack.extend((section_word(w, (lab,)), t) for lab, t in out_edges(d, u))
-    # every reachable demand fixes its edge labels; the cache stops growing
-    # at the cap of core's identity cache
-    for demand in itertools.islice(visited, max(_ID_CACHE_CAP - len(_IOV_CACHE), 0)):
-        _IOV_CACHE[demand] = True
-    return True
+    if v not in vertices(d):
+        raise ValueError(f"bad vertex: {v}")
+    a, b, flag = v
+    sections, u = ((word,), (a, b)) if flag else (section_orbit(word, (0,))[1], (0, a, b))
+    trivial = all(apply_word(s, u) == u and is_identity(section_word(s, u)) for s in sections)
+    # the cache stops growing at the cap of core's identity cache
+    if len(_IOV_CACHE) < _ID_CACHE_CAP:
+        _IOV_CACHE[word, v] = trivial
+    return trivial
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +707,9 @@ def nontrivial_section_words(word: Word, level: int) -> list[tuple]:
     has none; a negative level raises ValueError."""
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
-    word = reduce_word(word)
     if is_identity(word):
         return []
+    word = reduce_word(word)
     d = _degree(word)
     live: dict[tuple, Word] = {(): word}
     for n in range(1, level + 1):
@@ -791,9 +790,9 @@ def contraction_depth(word: Word) -> int:
     property is stable once reached.  Level 0 never counts for a
     nontrivial word: the word itself being a generator says nothing
     about a level of the tree having absorbed its action."""
-    word = reduce_word(word)
     if is_identity(word):
         return 0
+    word = reduce_word(word)
     d = _degree(word)
     live = {word}
     for n in range(1, _DEPTH_BOUND + 1):
@@ -802,7 +801,7 @@ def contraction_depth(word: Word) -> int:
         }
         if all(as_nucleus(w, d) is not None for w in live):
             return n
-    raise ResourceCap(f"sections did not collapse within {_DEPTH_BOUND} levels")
+    raise ResourceCap(f"contraction_depth: level {n} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")
 
 
 def regularity_check(word: Word, p: TildePoint) -> dict:
@@ -813,9 +812,9 @@ def regularity_check(word: Word, p: TildePoint) -> dict:
     ValueError signals that the word does not fix the point at all.
     """
     d = p.d
-    word = reduce_word(word)
     if act(word, p) != p:
         raise ValueError("the word does not fix the point")
+    word = reduce_word(word)
     for n in range(_DEPTH_BOUND + 1):
         eta = encode(p, n)
         sec = section_word(word, eta.labels)
@@ -841,7 +840,7 @@ def regularity_check(word: Word, p: TildePoint) -> dict:
             "section_kind": kind,
             "verified": True,
         }
-    raise ResourceCap(f"no pointwise-fixed cylinder within depth {_DEPTH_BOUND}")
+    raise ResourceCap(f"regularity_check: depth {n} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ class GrayPiece:
                     index[state] = len(verts)
                     verts.append(state)
                     if len(verts) > _PIECE_CAP:
-                        raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {len(verts)} reached")
+                        raise ResourceCap(f"GrayPiece.build: {len(verts)} vertices exceed _PIECE_CAP = {_PIECE_CAP}")
                 row.append(-1 if state is None else index[state])
             adj.append(tuple(row))
         return GrayPiece(
@@ -453,7 +453,7 @@ def gray_piece(p: TildePoint, n: int) -> GrayPiece:
     if n < 0:
         raise ValueError("radius must be nonnegative")
     if 2 * n + 1 > _LENGTH_CAP:
-        raise ResourceCap(f"piece length {2 * n + 1} exceeds the cap {_LENGTH_CAP}")
+        raise ResourceCap(f"gray_piece: length {2 * n + 1} exceeds _LENGTH_CAP = {_LENGTH_CAP}")
     return GrayPiece.build(p, -n, n)
 
 
@@ -627,7 +627,7 @@ class _Window:
                     of[0].append(-1)
                     of[1].append(-1)
                     if len(verts) > _PIECE_CAP:
-                        raise ResourceCap(f"piece exceeded {_PIECE_CAP} vertices: {len(verts)} reached")
+                        raise ResourceCap(f"_Window.walk: {len(verts)} vertices exceed _PIECE_CAP = {_PIECE_CAP}")
                 owner[j] = number
                 row.append(j)
             members[kind].append(row)

@@ -286,10 +286,10 @@ def parse_point(text: str, d: int) -> TildePoint:
 def act(word: Word, p: TildePoint) -> TildePoint:
     """Exact image of a point under a word; a generator of another degree
     than the point's raises ValueError."""
+    d = _degree(word, p.d)
     word = reduce_word(word)
     if not word:
         return p
-    d = _degree(word, p.d)
     out = []
     w = word
     for x in p.prefix:
@@ -316,8 +316,8 @@ def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int) -> Gen:
     depth is bounded by the section-state count (``section_orbit`` caps it).
     ``d`` is the degree of the empty word; a word of another degree raises
     ValueError."""
-    word = reduce_word(word)
     _degree(word, d)
+    word = reduce_word(word)
     _, chain, start = section_orbit(section_word(word, prefix), (0,))
     cycle = chain[start:]
     for other in cycle[1:]:

@@ -8,6 +8,7 @@ import pytest
 
 from alttree import diagram
 from alttree.core import (
+    AGen,
     Config,
     Perm,
     ResourceCap,
@@ -16,9 +17,14 @@ from alttree.core import (
     b_gen,
     equals,
     inverse_word,
+    identity_gen,
     is_identity,
+    order_of,
+    perm_closure,
     portrait,
     reduce_word,
+    root_perm,
+    section_orbit,
     section_word,
     wreath_decompose,
 )
@@ -53,7 +59,7 @@ from alttree.diagram import (
     vertex_text,
     vertices,
 )
-from alttree.pieces import level_graph
+from alttree.pieces import gray_piece, level_graph, schreier_ball
 from alttree.points import (
     ZeroPair,
     act,
@@ -298,6 +304,63 @@ def test_roundtrip_audit_cap_reports_count_and_cap(monkeypatch):
             lambda: level_graph(CFG, 3),
             "level_graph: word length 3 exceeds _LEVEL_CAP = 2",
         ),
+        (
+            "alttree.pieces._PIECE_CAP",
+            20,
+            lambda: gray_piece(parse_point("3332[24]", D), 1),
+            "GrayPiece.build: 21 vertices exceed _PIECE_CAP = 20",
+        ),
+        (
+            "alttree.pieces._PIECE_CAP",
+            20,
+            lambda: schreier_ball(parse_point("3332[24]", D), 1),
+            "_Window.walk: 21 vertices exceed _PIECE_CAP = 20",
+        ),
+        (
+            "alttree.pieces._LENGTH_CAP",
+            2,
+            lambda: gray_piece(parse_point("3332[24]", D), 1),
+            "gray_piece: length 3 exceeds _LENGTH_CAP = 2",
+        ),
+        (
+            "alttree.core._CLOSURE_CAP",
+            2,
+            lambda: perm_closure([Perm.from_cycles(D, (0, 1, 2))]),
+            "perm_closure: 3 elements exceed _CLOSURE_CAP = 2",
+        ),
+        (
+            "alttree.core._ORBIT_CAP",
+            1,
+            lambda: section_orbit((CFG.gen("c1"), CFG.gen("a1")), (1, 3)),
+            "section_orbit: 2 steps exceed _ORBIT_CAP = 1",
+        ),
+        (
+            "alttree.core._ORDER_BOUND",
+            2,
+            lambda: order_of((CFG.gen("a1"),)),
+            "order_of: 2 powers reach _ORDER_BOUND = 2",
+        ),
+        (
+            "alttree.diagram._CONNECTIVITY_BOUND",
+            2,
+            lambda: full_connectivity_steps(D),
+            "full_connectivity_steps: 2 steps reach _CONNECTIVITY_BOUND = 2",
+        ),
+        (
+            "alttree.diagram._DEPTH_BOUND",
+            1,
+            lambda: contraction_depth((CFG.gen("b1"), CFG.gen("a1"), CFG.gen("c2"))),
+            "contraction_depth: level 1 reaches _DEPTH_BOUND = 1",
+        ),
+        (
+            "alttree.diagram._DEPTH_BOUND",
+            0,
+            lambda: regularity_check(
+                (CFG.gen("c1"), CFG.gen("a1"), CFG.gen("c1").inverse()),
+                act((CFG.gen("c1"),), parse_point("3(1)", D)),
+            ),
+            "regularity_check: depth 0 reaches _DEPTH_BOUND = 0",
+        ),
     ],
     ids=[
         "is_identity",
@@ -307,6 +370,15 @@ def test_roundtrip_audit_cap_reports_count_and_cap(monkeypatch):
         "tower",
         "nontrivial_section_words",
         "level_graph",
+        "GrayPiece.build",
+        "_Window.walk",
+        "gray_piece",
+        "perm_closure",
+        "section_orbit",
+        "order_of",
+        "full_connectivity_steps",
+        "contraction_depth",
+        "regularity_check",
     ],
 )
 def test_caps_report_count_and_cap(monkeypatch, cap, value, call, message):
@@ -560,6 +632,17 @@ def test_a_word_takes_its_degree_from_its_letters():
         equals((a5,), (a6,))
     with pytest.raises(ValueError, match="^degree mismatch$"):
         is_identity((a5, a6))
+    # letters that reduction cancels are checked too, also when the caches
+    # hold the reduced word
+    assert not is_identity((a6,)) and not is_identity_on_vertex((a6,), (1, 0, 1))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        is_identity((a5, a5.inverse(), a6))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        order_of((a5, a5.inverse(), a6))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        is_identity_on_vertex((a5, a5.inverse(), a6), (1, 0, 1))
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        act((identity_gen(6),), parse_point("1(2)", 5))
 
 
 def test_image_then_inverse_image_roundtrip():
@@ -650,15 +733,15 @@ def test_tau_apply_errors():
 # pointwise-trivial sections
 
 
-def _vertex_tail_points(v, rng, count=40):
+def _vertex_tail_points(v, rng, zeros, count=40):
     """Sample points lying in the tail space of the vertex: sequences
-    that start with the zero run (flag 0) and then show the visible
-    pair, including formal-pair members."""
+    that start with a zero run of 1 to ``zeros`` letters (flag 0) and then
+    show the visible pair, including formal-pair members."""
     a, b, flag = v
     out = []
-    lead = () if flag else (0,) * rng.randrange(1, 3)
     out.append(zero_pair_point(D, (), a, b) if not flag else None)
     for _ in range(count):
+        lead = () if flag else (0,) * rng.randrange(1, zeros + 1)
         word = [rng.randrange(D) for _ in range(rng.randrange(4))]
         if rng.random() < 0.3:
             out.append(zero_pair_point(D, lead + (a, b) + tuple(word), rng.randrange(1, D), rng.randrange(D)))
@@ -671,15 +754,19 @@ def _vertex_tail_points(v, rng, count=40):
 
 
 def test_is_identity_on_vertex_against_members():
+    # zero runs longer than the word's zero-ray sections up to their cycle
+    # reach every section the zero lemma reads
     rng = rng_for(CFG, "diag-iov")
-    words = [(g,) for _, g in CFG.gens]
+    a1 = CFG.gen("a1")
+    words = [(g,) for _, g in CFG.gens] + [(a1.inverse(), g, a1) for _, g in CFG.gens]
     for _ in range(10):
         words.append(reduce_word(sample_word(rng, CFG, max_len=2)))
     seen_true = seen_false = 0
     for w in words:
-        for v in vertices(D)[:: rng.randrange(3, 7)]:
+        zeros = len(section_orbit(w, (0,))[1]) + 1
+        for v in vertices(D):
             claim = is_identity_on_vertex(w, v)
-            members = _vertex_tail_points(v, rng)
+            members = _vertex_tail_points(v, rng, zeros, count=20)
             moved = [p for p in members if act(w, p) != p]
             if claim:
                 assert not moved, (w, v, moved[:2])
@@ -688,6 +775,68 @@ def test_is_identity_on_vertex_against_members():
                 assert moved, (w, v)
                 seen_false += 1
     assert seen_true and seen_false
+
+
+def _trivial_on_vertex_by_demands(word, v):
+    """The demand walk, uncached: the tails of a vertex split along its
+    out-edges, so ``word`` is trivial on ``v`` iff no (section, vertex)
+    demand that ``(word, v)`` reaches has a root moving one of the
+    vertex's edge labels.  Built on ``out_edges``, ``root_perm`` and
+    ``section_word`` alone."""
+    word = reduce_word(word)
+    if not word:
+        return True
+    d = word[0].d
+    visited = set()
+    stack = [(word, v)]
+    while stack:
+        demand = stack.pop()
+        w, u = demand
+        if not w or demand in visited:
+            continue
+        visited.add(demand)
+        rp = root_perm(w)
+        for lab, t in out_edges(d, u):
+            if rp(lab) != lab:
+                return False
+            stack.append((section_word(w, (lab,)), t))
+    return True
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_is_identity_on_vertex_against_the_demand_walk(d):
+    cfg = Config.default(d)
+    rng = rng_for(cfg, "diag-iov-demands")
+    gens = [g for _, g in cfg.gens]
+    a1 = cfg.gen("a1")
+    # conjugating by a first-letter generator that moves 0 gives zero-ray
+    # sections past the first one that matter
+    words = [(g,) for g in gens]
+    words += [(h.inverse(), g, h) for h in gens if isinstance(h, AGen) for g in gens]
+    for _ in range(8):
+        u = sample_word(rng, cfg, max_len=3)
+        words.append(sample_word(rng, cfg, max_len=4))
+        words.append(u + (a1, a1, a1) + inverse_word(u))
+        words.append(u + (rng.choice(gens),) + inverse_word(u))
+    on_zero_flags = set()
+    for w in words:
+        for v in (None,) + vertices(d):
+            got = is_identity_on_vertex(w, v)
+            assert got == _trivial_on_vertex_by_demands(w, v), (w, v)
+            if v is not None and not v[2]:
+                on_zero_flags.add(got)
+    assert on_zero_flags == {True, False}
+
+
+def test_is_identity_on_vertex_rejects_bad_vertices():
+    """A vertex the word's degree does not have raises, and nothing is
+    cached for it."""
+    a1 = CFG.gen("a1")
+    diagram._IOV_CACHE.clear()
+    for v in ((1, 9, 0), (0, 1, 1), (1, 2, 3), (7, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"bad vertex: {v}")):
+            is_identity_on_vertex((a1,), v)
+    assert not diagram._IOV_CACHE
 
 
 def test_is_identity_on_vertex_known_cases():

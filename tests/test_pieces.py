@@ -869,7 +869,7 @@ def test_vertex_cap_boundary(monkeypatch):
     assert len(win.walk(start)[0]) == size
     assert GrayPiece.build(p, -1, 1).size == size
     monkeypatch.setattr(pieces_mod, "_PIECE_CAP", size - 1)
-    with pytest.raises(ResourceCap, match=f"^piece exceeded {size - 1} vertices: {size} reached$"):
+    with pytest.raises(ResourceCap, match=f"^GrayPiece.build: {size} vertices exceed _PIECE_CAP = {size - 1}$"):
         GrayPiece.build(p, -1, 1)
-    with pytest.raises(ResourceCap, match=f"^piece exceeded {size - 1} vertices: {size} reached$"):
+    with pytest.raises(ResourceCap, match=f"^_Window.walk: {size} vertices exceed _PIECE_CAP = {size - 1}$"):
         win.walk(start)

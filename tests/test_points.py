@@ -147,7 +147,7 @@ def test_act_raises_when_the_section_orbit_passes_its_cap(monkeypatch):
     p = periodic_point(D, (2,), (1, 3))
     expected = act(word, p)
     monkeypatch.setattr(core, "_ORBIT_CAP", 1)
-    with pytest.raises(ResourceCap, match="did not cycle within 1 steps"):
+    with pytest.raises(ResourceCap, match="^section_orbit: 2 steps exceed _ORBIT_CAP = 1$"):
         act(word, p)
     monkeypatch.undo()
     assert act(word, p) == expected
