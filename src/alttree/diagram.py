@@ -21,6 +21,7 @@ round trip).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +45,7 @@ from .points import (
     TildePoint,
     ZeroPair,
     _periodic,
+    _shift,
     _zero_pair,
     act,
     zero_pair_point,
@@ -86,7 +88,7 @@ _CONNECTIVITY_BOUND = 8  # path lengths full_connectivity_steps tries
 _SECTION_WORDS_CAP = 100_000  # words of one level of nontrivial_section_words
 _DEPTH_BOUND = 64  # tree levels contraction_depth and regularity_check search
 _AUDIT_CAP = 40_000_000  # paths of one roundtrip_audit
-_CHAIN_CACHE_CAP = 1 << 16  # entries of the _chain cache, keyed by path
+_PREFIXES_CACHE_CAP = 1 << 16  # entries of the _prefixes cache, keyed by path
 
 
 # ---------------------------------------------------------------------------
@@ -136,34 +138,38 @@ def source_vertex(d: int, v: Vertex, label: int) -> Vertex:
     return (label, 0, 1)
 
 
+def _letters_text(xs) -> str:
+    """Letters as digits, a letter past 9 in braces, so the text is
+    one-to-one at every degree and plain digits up to d = 10."""
+    return "".join(str(x) if x < 10 else f"{{{x}}}" for x in xs)
+
+
+def _parse_letters(text: str) -> tuple[int, ...]:
+    xs = tuple(int(big or digit) for big, digit in re.findall(r"\{(\d+)\}|(\d)", text))
+    if _letters_text(xs) != text:
+        raise ValueError(f"bad letters text: {text!r}")
+    return xs
+
+
 def vertex_text(v: Vertex | None) -> str:
     if v is None:
         return "top"
     a, b, flag = v
-    return f"{a}{b}{'*' if flag else '0'}"
+    return _letters_text((a, b)) + ("*" if flag else "0")
 
 
 def parse_vertex(text: str) -> Vertex | None:
     if text == "top":
         return None
-    if len(text) != 3 or not text[:2].isdigit() or text[2] not in "*0":
+    flag = text[-1:]
+    ab = _parse_letters(text[:-1]) if flag in ("*", "0") else ()
+    if len(ab) != 2:
         raise ValueError(f"bad vertex text: {text!r}")
-    return (int(text[0]), int(text[1]), 1 if text[2] == "*" else 0)
+    return (*ab, 1 if flag == "*" else 0)
 
 
 # ---------------------------------------------------------------------------
 # finite paths
-
-
-@lru_cache(maxsize=_CHAIN_CACHE_CAP)
-def _chain(d: int, labels: tuple, end: Vertex) -> tuple[Vertex, ...]:
-    """Vertices at levels 1..n along the unique path reading ``labels``
-    into ``end``: walk backwards, one deterministic step per label."""
-    out = [end]
-    for k in range(len(labels) - 1, 0, -1):
-        out.append(source_vertex(d, out[-1], labels[k]))
-    out.reverse()
-    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,10 +184,9 @@ class PathPrefix:
     :func:`parse_path`) check every field.  ``_unchecked`` skips the
     checks and ``__init__``: it stores the fields through the slot
     setters.  It is only for fields valid by construction: the paths
-    that ``encode``, ``children``, ``parent``, ``image_of_cylinder``,
-    ``clopen``, ``complement``, ``tower``, ``full_space`` and
-    ``roundtrip_audit`` build from letters, vertices and edges they
-    already hold.
+    that ``encode``, ``children``, ``image_of_cylinder``, ``clopen``,
+    ``complement``, ``tower``, ``full_space`` and ``roundtrip_audit``
+    build from letters, vertices and edges they already hold.
     """
 
     d: int
@@ -218,9 +223,7 @@ class PathPrefix:
 
     def chain(self) -> tuple[Vertex, ...]:
         """Vertices at levels 1..depth (empty for the top path)."""
-        if self.end is None:
-            return ()
-        return _chain(self.d, self.labels, self.end)
+        return tuple(end for _labels, end in _prefixes(self)[1:])
 
     def children(self) -> tuple["PathPrefix", ...]:
         return tuple(
@@ -228,16 +231,8 @@ class PathPrefix:
             for lab, u in out_edges(self.d, self.end)
         )
 
-    def parent(self) -> "PathPrefix":
-        if self.end is None:
-            raise ValueError("the top path has no parent")
-        ch = self.chain()
-        return PathPrefix._unchecked(
-            self.d, self.labels[:-1], ch[-2] if len(ch) >= 2 else None
-        )
-
     def text(self) -> str:
-        return "".join(map(str, self.labels)) + "@" + vertex_text(self.end)
+        return _letters_text(self.labels) + "@" + vertex_text(self.end)
 
     def __repr__(self):
         return f"<path {self.text()}>"
@@ -262,7 +257,7 @@ def parse_path(text: str, d: int) -> PathPrefix:
     head, sep, tail = text.partition("@")
     if not sep:
         raise ValueError(f"bad path text: {text!r}")
-    return PathPrefix(d, tuple(int(c) for c in head), parse_vertex(tail))
+    return PathPrefix(d, _parse_letters(head), parse_vertex(tail))
 
 
 def _sort_key(p: PathPrefix):
@@ -335,56 +330,36 @@ def decode(eta: PathPrefix, tail: TildePoint | None = None) -> TildePoint:
 
 
 def cylinder_member(eta: PathPrefix, p: TildePoint) -> bool:
-    """Membership of ``p`` in the cylinder of ``eta``, decided from the
-    sequence itself: the labels must be the first letters, a *-flagged
-    end pins letters n+1 and n+2, and a 0-flagged end demands a zero at
-    n+1 with visible data (a, b) further on (formal pair included)."""
-    if p.d != eta.d:
-        return False
-    if eta.end is None:
-        return True
-    n = len(eta.labels)
-    if p.letters(n) != eta.labels:
-        return False
-    a, b, flag = eta.end
-    if flag:
-        return p.letter(n + 1) == a and p.letter(n + 2) == b
-    if p.letter(n + 1) != 0:
-        return False
-    # scan the zero run: the first nonzero letter must be a, followed by b
-    pos = n + 2
-    if isinstance(p.tail, Periodic):
-        bound = max(len(p.prefix), n + 1) + 2 * len(p.tail.word)
-    else:
-        bound = len(p.prefix)
-    while pos <= bound:
-        x = p.letter(pos)
-        if x != 0:
-            return x == a and p.letter(pos + 1) == b
-        pos += 1
-    if isinstance(p.tail, Periodic):
-        raise AssertionError("periodic tail with no nonzero letter")
-    return p.tail.a == a and p.tail.b == b
+    """Membership of ``p`` in the cylinder of ``eta``: the cylinder is
+    the set of points whose depth-n path is ``eta``, so ``p`` is a member
+    iff ``encode(p, n) == eta``, with n the depth of ``eta``."""
+    return p.d == eta.d and _encoded(p, len(eta.labels)) == (eta.labels, eta.end)
 
 
 # ---------------------------------------------------------------------------
 # clopen sets: antichains of path prefixes
 
 
+@lru_cache(maxsize=_PREFIXES_CACHE_CAP)
+def _prefixes(p: PathPrefix) -> tuple[tuple[tuple[int, ...], Vertex | None], ...]:
+    """The ``(labels, end)`` keys of the prefixes of ``p``, the top first
+    and ``p`` itself last: walk back from the end, one deterministic step
+    per label."""
+    labels, keys = p.labels, [(p.labels, p.end)]
+    for k in range(len(labels) - 1, 0, -1):
+        keys.append((labels[:k], source_vertex(p.d, keys[-1][1], labels[k])))
+    if labels:
+        keys.append(((), None))
+    return tuple(reversed(keys))
+
+
 def _covered_by(p: PathPrefix, keys: set) -> bool:
     """Does some cylinder whose (labels, end) key is listed contain ``p``?
 
     Containment between path cylinders is prefix containment, so it is
-    enough to walk ``p``'s ancestor chain and look each ancestor up --
-    O(depth) hash probes instead of a scan of the whole family."""
-    if ((), None) in keys:
-        return True
-    ch = p.chain()
-    labels = p.labels
-    for k in range(1, len(labels) + 1):
-        if (labels[:k], ch[k - 1]) in keys:
-            return True
-    return False
+    enough to look each prefix of ``p`` up -- O(depth) hash probes
+    instead of a scan of the whole family."""
+    return any(k in keys for k in _prefixes(p))
 
 
 @dataclass(frozen=True)
@@ -425,11 +400,7 @@ class ClopenSet:
         if any(c.end is None for c in self.cylinders):
             return empty_set(d)
         members = {(c.labels, c.end) for c in self.cylinders}
-        ancestors = set()
-        for c in self.cylinders:
-            ch = c.chain()
-            for k in range(len(c.labels)):
-                ancestors.add((c.labels[:k], ch[k - 1] if k else None))
+        ancestors = {k for c in self.cylinders for k in _prefixes(c)[:-1]}
         out: list[PathPrefix] = []
         stack: list[tuple[tuple, Vertex | None]] = [((), None)]
         while stack:
@@ -488,23 +459,13 @@ def clopen(d: int, paths) -> ClopenSet:
     family of siblings into its parent until nothing merges."""
     ps = set(paths)
     keys = {(p.labels, p.end) for p in ps}
-    kept = set()
-    for p in ps:
-        if p.end is not None and ((), None) in keys:
-            continue
-        ch = p.chain()
-        if any((p.labels[:k], ch[k - 1]) in keys for k in range(1, len(p.labels))):
-            continue  # a proper ancestor is already present
-        kept.add(p)
-    ps = kept
+    # drop each path that has a proper ancestor present
+    ps = {p for p in ps if not any(k in keys for k in _prefixes(p)[:-1])}
     while True:
         groups: dict[tuple, set[PathPrefix]] = {}
         for p in ps:
-            if p.end is None:
-                continue
-            ch = p.chain()
-            parent = (p.labels[:-1], ch[-2] if len(ch) >= 2 else None)
-            groups.setdefault(parent, set()).add(p)
+            if p.end is not None:
+                groups.setdefault(_prefixes(p)[-2], set()).add(p)
         merged = False
         for (labels, end), members in groups.items():
             need = set(out_edges(d, end))
@@ -600,13 +561,7 @@ def tau_apply(gamma: PathPrefix, gamma2: PathPrefix, p: TildePoint) -> TildePoin
         raise ValueError("prefix exchange needs a common end vertex")
     if not cylinder_member(gamma, p):
         raise ValueError("point outside the source cylinder")
-    n = len(gamma.labels)
-    rest = p.prefix[n:]
-    if isinstance(p.tail, ZeroPair):
-        return _zero_pair(p.d, gamma2.labels + rest, p.tail.a, p.tail.b)
-    per = p.tail.word
-    k = max(0, n - len(p.prefix)) % len(per)
-    return _periodic(p.d, gamma2.labels + rest, per[k:] + per[:k])
+    return decode(gamma2, _shift(p, len(gamma.labels)))
 
 
 def path_counts(d: int, n: int) -> dict[Vertex, int]:

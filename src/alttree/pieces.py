@@ -609,7 +609,7 @@ class _Window:
             count = (d - 1) ** kind * (in_zero + (d - 1) * in_other)
             if count > _PIECE_CAP:
                 raise ResourceCap(
-                    f"{'AB'[kind]}-clique of {count} vertices in the window exceeds _PIECE_CAP = {_PIECE_CAP}"
+                    f"_Window.walk: {'AB'[kind]}-clique of {count} vertices in the window exceeds _PIECE_CAP = {_PIECE_CAP}"
                 )
             head, tail = letters[:at], letters[at + width :]
             labels = itertools.product(range(1, d), range(d)) if kind else itertools.product(range(d))

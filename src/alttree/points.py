@@ -186,9 +186,8 @@ def periodic_point(d: int, prefix, period) -> TildePoint:
 def _periodic(d: int, prefix: tuple[int, ...], period: tuple[int, ...]) -> TildePoint:
     """The normal form of ``prefix . (period)^inf``, without the letter
     checks of :func:`periodic_point`, built through the slot setters.
-    Only for letters valid by construction: ``act``, ``diagram.decode``
-    and ``diagram.tau_apply`` pass letters read from valid points and
-    paths."""
+    Only for letters valid by construction: ``act``, ``_shift`` and
+    ``diagram.decode`` pass letters read from valid points and paths."""
     period = _primitive(period)
     if not any(period):
         raise ValueError("period must contain a nonzero letter")
@@ -229,21 +228,24 @@ def _zero_pair(d: int, prefix: tuple[int, ...], a: int, b: int) -> TildePoint:
     return _point(d, prefix, tail)
 
 
-def _expand(p: TildePoint, m: int):
-    """First ``m`` letters plus the residual tail descriptor at depth m."""
-    letters = p.letters(m)
+def _shift(p: TildePoint, n: int) -> TildePoint:
+    """The point after the first ``n`` letters of ``p``: the rest of the
+    prefix, then the tail, a period rotated to start at letter n + 1."""
     if isinstance(p.tail, ZeroPair):
-        return letters, p.tail
+        return _zero_pair(p.d, p.prefix[n:], p.tail.a, p.tail.b)
     per = p.tail.word
-    k = max(0, m - len(p.prefix)) % len(per)
-    return letters, Periodic(per[k:] + per[:k])
+    k = max(0, n - len(p.prefix)) % len(per)
+    return _periodic(p.d, p.prefix[n:], per[k:] + per[:k])
 
 
 def with_letters(p: TildePoint, changes: dict[int, int], pair: tuple[int, int] | None = None) -> TildePoint:
     """Copy of ``p`` with finite letters (and/or the formal pair) replaced."""
     m = max([len(p.prefix)] + [pos for pos in changes])
-    letters, tail = _expand(p, m)
-    buf = list(letters)
+    tail = p.tail
+    if isinstance(tail, Periodic):
+        # read on to the end of a period, so the tail after the letters is p's
+        m += -(m - len(p.prefix)) % len(tail.word)
+    buf = list(p.letters(m))
     for pos, val in changes.items():
         buf[pos - 1] = val
     if isinstance(tail, ZeroPair):

@@ -460,20 +460,82 @@ def test_cylinder_semantics_zero_case():
     assert not cylinder_member(eta, zero_pair_point(D, (4,), 2, 3))
 
 
+def _scan_member(eta: PathPrefix, p) -> bool:
+    """Membership read off the sequence itself, sharing no code with
+    ``encode``: the labels must be the first letters, a *-flagged end pins
+    letters n+1 and n+2, and a 0-flagged end demands a zero at n+1 with
+    the visible pair (a, b) after the zero run (formal pair included)."""
+    if p.d != eta.d:
+        return False
+    if eta.end is None:
+        return True
+    n = len(eta.labels)
+    if p.letters(n) != eta.labels:
+        return False
+    a, b, flag = eta.end
+    if flag:
+        return p.letter(n + 1) == a and p.letter(n + 2) == b
+    if p.letter(n + 1) != 0:
+        return False
+    # scan the zero run: the first nonzero letter must be a, followed by b
+    pos = n + 2
+    if isinstance(p.tail, ZeroPair):
+        bound = len(p.prefix)
+    else:
+        bound = max(len(p.prefix), n + 1) + 2 * len(p.tail.word)
+    while pos <= bound:
+        x = p.letter(pos)
+        if x != 0:
+            return x == a and p.letter(pos + 1) == b
+        pos += 1
+    if not isinstance(p.tail, ZeroPair):
+        raise AssertionError("periodic tail with no nonzero letter")
+    return p.tail.a == a and p.tail.b == b
+
+
 def test_membership_agrees_with_encode():
     pts = sample_points(CFG, 150, salt="diag-member")
     for p in pts:
         for n in (1, 2, 4):
             eta = encode(p, n)
-            assert cylinder_member(eta, p)
+            assert _scan_member(eta, p)
             # among all vertices at the same label word, only the
             # encoded one admits p
             hits = [
                 v
                 for v in vertices(D)
-                if cylinder_member(PathPrefix(D, eta.labels, v), p)
+                if _scan_member(PathPrefix(D, eta.labels, v), p)
             ]
             assert hits == [eta.end]
+
+
+@pytest.mark.parametrize("d, max_prefix", [(5, 3), (6, 2)])
+def test_cylinder_member_against_the_scan(d, max_prefix):
+    # every point with a short prefix and a tail of period (x), (0 x) or
+    # (1 0 0), or doubled with any pair, at depths 0..5 and every vertex
+    periods = [(x,) for x in range(1, d)] + [(0, x) for x in range(1, d)] + [(1, 0, 0)]
+    pairs = [(a, b) for a in range(1, d) for b in range(d)]
+    pts = set()
+    for k in range(max_prefix + 1):
+        for prefix in itertools.product(range(d), repeat=k):
+            pts.update(periodic_point(d, prefix, per) for per in periods)
+            pts.update(zero_pair_point(d, prefix, a, b) for a, b in pairs)
+    rng = rng_for(Config.default(d), "diag-member-scan")
+    top, other = PathPrefix(d, (), None), PathPrefix(d + 1, (), None)
+    members = 0
+    for p in sorted(pts, key=repr):
+        assert cylinder_member(top, p) and not cylinder_member(other, p)
+        for n in range(1, 6):
+            labels = p.letters(n)
+            etas = [PathPrefix._unchecked(d, labels, v) for v in vertices(d)]
+            # a random label word: unless it happens to be p's, no vertex
+            # admits p, so the end vertex of p's own path is enough
+            etas.append(PathPrefix._unchecked(d, tuple(rng.randrange(d) for _ in range(n)), encode(p, n).end))
+            got = [cylinder_member(e, p) for e in etas]
+            assert got == [_scan_member(e, p) for e in etas], p
+            members += sum(got)
+    # each (point, depth) has its own path, and a random word hits it sometimes
+    assert len(pts) * 5 < members < len(pts) * 5 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +617,27 @@ def test_path_text_roundtrip():
         parse_vertex("2*1")
     with pytest.raises(ValueError):
         parse_path("40", D)
+
+
+def test_texts_are_one_to_one_past_degree_ten():
+    # up to d = 10 every letter is one digit, as before
+    assert [vertex_text(v) for v in vertices(10)] == [
+        f"{a}{b}{'*' if flag else '0'}" for a, b, flag in vertices(10)
+    ]
+    # past that, a letter above 9 is braced, so no two vertices share a text
+    texts = {vertex_text(v): v for v in vertices(12)}
+    assert len(texts) == len(vertices(12)) == 264
+    assert all(parse_vertex(text) == v for text, v in texts.items())
+    assert (vertex_text((1, 11, 0)), vertex_text((11, 1, 0))) == ("1{11}0", "{11}10")
+    report = bounded_type_audit(Config.default(12).gen("b1"), 1)
+    assert len(report["levels"][1]["per_vertex"]) == 264
+    eta = path(11, (10,), (1, 0, 1))
+    assert eta.text() == "{10}@10*"
+    assert parse_path(eta.text(), 11) == eta != path(11, (1, 0), (1, 0, 1))
+    # only the canonical text parses
+    for bad in ("{5}@10*", "{05}@10*", "1x@10*", "1@1{11}", "1@{11}{11}{11}*"):
+        with pytest.raises(ValueError):
+            parse_path(bad, 12)
 
 
 # ---------------------------------------------------------------------------

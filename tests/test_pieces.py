@@ -852,7 +852,7 @@ def test_schreier_ball_clique_cap():
     # once: at d = 16,385 the radius-1 ball of 102(3) has a B-clique of
     # (d - 1) d vertices, which is never listed.
     t = time.perf_counter()
-    want = r"^B-clique of 268451840 vertices in the window exceeds _PIECE_CAP = 2000000$"
+    want = r"^_Window\.walk: B-clique of 268451840 vertices in the window exceeds _PIECE_CAP = 2000000$"
     with pytest.raises(ResourceCap, match=want):
         schreier_ball(periodic_point(16_385, (1, 0, 2), (3,)), 1)
     assert time.perf_counter() - t < 1.0
