@@ -21,7 +21,6 @@ round trip).
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +43,8 @@ from .points import (
     Periodic,
     TildePoint,
     ZeroPair,
+    _letters_text,
+    _parse_letters,
     _periodic,
     _shift,
     _zero_pair,
@@ -136,19 +137,6 @@ def source_vertex(d: int, v: Vertex, label: int) -> Vertex:
     if flag:
         return (label, a, 1)
     return (label, 0, 1)
-
-
-def _letters_text(xs) -> str:
-    """Letters as digits, a letter past 9 in braces, so the text is
-    one-to-one at every degree and plain digits up to d = 10."""
-    return "".join(str(x) if x < 10 else f"{{{x}}}" for x in xs)
-
-
-def _parse_letters(text: str) -> tuple[int, ...]:
-    xs = tuple(int(big or digit) for big, digit in re.findall(r"\{(\d+)\}|(\d)", text))
-    if _letters_text(xs) != text:
-        raise ValueError(f"bad letters text: {text!r}")
-    return xs
 
 
 def vertex_text(v: Vertex | None) -> str:

@@ -21,7 +21,9 @@ plainly, one move of one letter tuple at a time; it is the reference.
 clique (below) once, from its first vertex; it gives piece codes and
 Schreier balls.
 ``find_n0`` walks no piece: by the key lemma (below) a point's piece is
-fixed by its window's slot pattern and the point's letters.
+fixed by its window's slot pattern and the point's letters, and by the
+ball lemmas (below) a ball's states give both without a point built for
+each.
 
 Clique lemma.  A vertex's A-clique is the set of window states that agree
 with it except perhaps at ``x1``, each at the fiber whose word fits its
@@ -91,6 +93,47 @@ basepoint writes only letters in view, so its annotations show each slot's
 letter unchanged when the letter first comes into view; the isomorphism
 carries the walk over, so the basepoint letters agree label by label.
 
+Any fixed order of the roles gives an equally exact key.  A key records
+which roles share a slot -- the labels of the roles, in their order, are
+the first-appearance numbering of that partition, which the numbering and
+the order determine and which determines the numbering -- and each slot's
+letter, in label order.  The proof uses nothing else, so two points have
+equal keys in one fixed order exactly when they do in another.
+
+Outward keys.  ``find_n0`` orders the roles ``x1``, then the pairs of
+fibers 0, -1, +1, -2, +2, ..., in the point's own orientation.  The roles
+of fibers -n..n come first, so their labels do not depend on the fibers
+beyond, and the key at n + 1 is the key at n and one block: the labels of
+the roles of fibers -(n + 1) and n + 1, and the letters of the slots they
+show first, in label order (the block of n = 1 also holds ``x1`` and fiber
+0).  So keys that differ at n differ at n + 1, and a round of the search
+compares new blocks only within groups whose keys are still equal.
+
+Ball lemmas.  Let W_k be the word at fiber k of a basepoint p's line
+(``gray_segment`` of its Gray word), and let (k, L) be a state of the
+piece of p over the window -R..R, with point q: L at the window's slots
+(and formal pair, if shown), p's letters elsewhere (``_Window.point``).
+
+1. q's Gray word is W_k.  L fits W_k: nonzero exactly at its stars, at the
+   slots.  Off the slots q has p's letters, whose zero pattern is W_0's,
+   and W_k agrees with W_0 there: each line edge between fibers 0 and k
+   flips bit 1 or the bit after a word's first star, and the window shows
+   both (the formal b, if that is the bit).
+2. q's own line at offset f is W_(k + f) for even k and W_(k - f) for odd
+   k.  A Gray word has two line neighbours, across its first bit and
+   across the bit after its first star, so q's line is p's line read from
+   W_k in one of its two directions.  ``gray_segment`` puts a word's
+   first-bit neighbour at -1, and on p's line the edge (k - 1, k) is a
+   first-bit edge exactly when k - 1 is odd.  So at even k, q's -1 is
+   W_(k - 1) and its offsets run with p's; at odd k, W_(k + 1) is its
+   first-bit neighbour and they run against.
+3. q's letter at a position the window never shows is p's, and so is its
+   formal pair when the window does not show it: q is reached from p by
+   moves, and a move writes only letters in view.
+So q's key at piece radius n is read off the line over fibers
+k - n..k + n, which lies within -(R + n)..R + n, p's letters, and L; no
+point is built.
+
 The module also computes marginal subpieces, branch counts, quasi-level
 detection, and the separation constant ``n0``: the piece radius at which
 every point within graph distance R of a basepoint is distinguished from
@@ -105,13 +148,16 @@ from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import AGen, Config, ResourceCap
 from .points import (
     OMEGA,
+    OMEGA1,
     GrayWord,
     TildePoint,
     ZeroPair,
+    _line_step,
     first_star,
     gray_projection,
     gray_segment,
@@ -140,7 +186,7 @@ __all__ = [
 # (12 basepoints, salt "n0"): pieces of radius 6 separate every pair of
 # distinct points in every ball, radius 5 does not.  The audit reports
 # n0 = 6 over 11 distinct balls, 13420 vertices and 9850898 pairs, with no
-# replay collision; it takes about 0.4 s on a 2-vCPU host (Python 3.11.7):
+# replay collision; it takes about 0.08 s on a 2-vCPU host (Python 3.11.7):
 #
 #   cfg = Config.default(5)
 #   find_n0(cfg, sample_points(cfg, 12, salt="n0", max_prefix=4, max_period=2), radius=8)
@@ -645,6 +691,102 @@ class _Window:
         return verts, of, members
 
 
+class _Ball:
+    """The states of a Schreier ball, and their outward keys.
+
+    ``states`` are the first ``radius + 1`` breadth-first layers of the
+    basepoint's piece over the window -radius..radius (see
+    ``schreier_ball``), in ``_Window.walk``'s form.  By the ball lemmas
+    (module docstring) the basepoint's Gray line, its letters and a state
+    give the state's key over its own window, so no point is built for a
+    state.  The line grows by one fiber at each end as the keys need it.
+    A state's outward block at n is the part of its key for its own fibers
+    -n and +n (with its x1 and fiber 0 at n = 1); its blocks 1..n are its
+    key at piece radius n."""
+
+    def __init__(self, p: TildePoint, radius: int):
+        win = _Window(p, -radius, radius)
+        self.p, self.win = p, win
+        self.states = win.walk((0, win.letters(p)), layers=radius + 1)[0]
+        self.line = dict(zip(range(-radius, radius + 1), win.segment))
+        formal = (OMEGA, OMEGA1) if win.has_pair else ()
+        self._index = {pos: i for i, pos in enumerate(win.slots + formal)}  # per position in view: its index in a state's letters
+        self._labels = {k: {} for k in self.line}  # per state fiber: the slot labels given so far
+        self._blocks: list[dict] = []  # per n from 1, per state fiber: a block's pattern, picker and fixed letters
+
+    def word(self, k: int) -> GrayWord:
+        """The Gray word at fiber ``k`` of the basepoint's line."""
+        line = self.line
+        while k not in line:
+            h = len(line) // 2
+            line[-h - 1] = _line_step(line[-h], -h, -1)
+            line[h + 1] = _line_step(line[h], h, 1)
+            if len(set(line.values())) != len(line):
+                raise AssertionError("Gray line revisited a word; the line structure is broken")
+        return line[k]
+
+    def _table(self, n: int) -> dict:
+        # The blocks at n of the states at each fiber k.  The pattern is the
+        # labels of the roles of the own fibers -n and +n: the line fibers
+        # k - n and k + n, in that order at even k and reversed at odd k
+        # (after x1 and fiber 0 at n = 1).  The picker takes the letters of
+        # the slots labelled first here, in label order, from a state's
+        # letters followed by the basepoint's letters at those slots out of
+        # view.  It picks one letter bare, not in a tuple.  That is still
+        # exact: a block is compared only when the blocks before it are
+        # equal, and then equal patterns hold as many new labels.
+        index, p = self._index, self.p
+        while len(self._blocks) < n:
+            m = len(self._blocks) + 1
+            table = {}
+            for k, labels in self._labels.items():
+                s = m if k % 2 == 0 else -m
+                roles = (*_pair_roles(self.word(k - s)), *_pair_roles(self.word(k + s)))
+                if m == 1:
+                    roles = (1, *_pair_roles(self.word(k)), *roles)
+                pattern, new = [], []
+                for pos in roles:
+                    if pos not in labels:
+                        labels[pos] = len(labels)
+                        new.append(pos)
+                    pattern.append(labels[pos])
+                at, fixed = [], []
+                for pos in new:
+                    if pos in index:
+                        at.append(index[pos])
+                    else:
+                        at.append(len(index) + len(fixed))
+                        fixed.append(_letter_at(p, pos))
+                table[k] = tuple(pattern), itemgetter(*at) if at else _no_letters, tuple(fixed)
+            self._blocks.append(table)
+        return self._blocks[n - 1]
+
+    def keys(self, n: int) -> list[tuple]:
+        """Every state's key over its own window -n..n: its blocks 1..n."""
+        tables = [self._table(m) for m in range(1, n + 1)]
+        rows = {k: [table[k] for table in tables] for k in self._labels}
+        return [tuple([(pattern, pick(letters + fixed)) for pattern, pick, fixed in rows[k]]) for k, letters in self.states]
+
+    def point(self, i: int) -> TildePoint:
+        return self.win.point(self.p, self.states[i][1])
+
+
+def _pair_roles(w: GrayWord) -> tuple:
+    """The positions of a Gray word's visible pair."""
+    j = first_star(w)
+    return (OMEGA, OMEGA1) if j is OMEGA else (j, j + 1)
+
+
+def _letter_at(p: TildePoint, pos) -> int:
+    if pos is OMEGA or pos is OMEGA1:
+        return (p.tail.a, p.tail.b)[pos is OMEGA1]
+    return p.letter(pos)
+
+
+def _no_letters(letters: tuple[int, ...]) -> tuple:
+    return ()
+
+
 def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     """Points within graph distance ``radius`` of ``p``, breadth-first, each
     point's neighbours in descriptor-label order.
@@ -654,32 +796,8 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     breadth-first layers of the piece of ``p`` over that window.  The walk
     stops after them, and each state becomes a point by ``_Window.point``,
     the map ``GrayPiece.point_of`` uses."""
-    win = _Window(p, -radius, radius)
-    verts, _, _ = win.walk((0, win.letters(p)), layers=radius + 1)
-    return [win.point(p, letters) for _, letters in verts]
-
-
-def _fiber_keys(points: list[TildePoint], words: list[GrayWord], lo: int, hi: int) -> list[tuple]:
-    """One key per point, shared exactly by points with equal
-    ``piece_code(q, lo, hi)``; ``words[i]`` is the Gray word of
-    ``points[i]``.  By the key lemma (module docstring) the key is the
-    window's slot pattern and the point's letters in slot-label order.
-    Points over one Gray word share the window, so each Gray word gets one
-    ``_Window`` and each point one ``letters`` call, and no piece is walked,
-    so the key serves pieces of every size."""
-    shapes: dict[GrayWord, tuple] = {}  # per Gray word: window, slots by label, slot pattern
-    keys = []
-    for q, w in zip(points, words):
-        shape = shapes.get(w)
-        if shape is None:
-            win = _Window(q, lo, hi)
-            order = tuple(dict.fromkeys(itertools.chain((0,), *win.pair_slots)))  # slots by first appearance
-            label = {slot: i for i, slot in enumerate(order)}
-            shape = shapes[w] = win, order, tuple(label[i] for i in itertools.chain(*win.pair_slots))
-        win, order, pattern = shape
-        letters = win.letters(q)
-        keys.append((pattern, tuple(letters[i] for i in order)))
-    return keys
+    ball = _Ball(p, radius)
+    return [ball.win.point(p, letters) for _, letters in ball.states]
 
 
 def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> bytes:
@@ -726,26 +844,31 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
     return code
 
 
-def _ball_separation_radius(
-    ball: list[TildePoint], words: list[GrayWord], bound: int, start: int
-) -> tuple[int, tuple | None]:
-    """Least n >= start at which all points of ``ball``, over the Gray words
-    ``words``, get pairwise distinct radius-n piece codes, compared through
-    ``_fiber_keys``.  Distinctness is monotone in n, so only still-colliding
-    groups are re-keyed as n grows.  Returns (n, None) or (bound,
+def _separation_radius(ball: _Ball, bound: int) -> tuple[int, tuple | None]:
+    """Least n >= 1 at which the states of ``ball`` get pairwise distinct
+    keys at piece radius n.  A key at n + 1 is the key at n and one block
+    more (outward keys, module docstring), so each round splits each group
+    that still collides by its states' new blocks alone, and drops the
+    groups left with one state.  Returns (n, None), or (bound, the
     counterexample pair) when the bound runs out."""
-    n = start
-    groups = [list(range(len(ball)))]
+    states = ball.states
+    groups: list = [range(len(states))]
+    n = 1
     while True:
-        at = [i for group in groups for i in group]
-        buckets: dict[tuple, list[int]] = {}
-        for i, key in zip(at, _fiber_keys([ball[i] for i in at], [words[i] for i in at], -n, n)):
-            buckets.setdefault(key, []).append(i)
-        groups = [g for g in buckets.values() if len(g) > 1]
+        table = ball._table(n)
+        split = []
+        for group in groups:
+            buckets: dict[tuple, list[int]] = {}
+            for i in group:
+                k, letters = states[i]
+                pattern, pick, fixed = table[k]
+                buckets.setdefault((pattern, pick(letters + fixed)), []).append(i)
+            split += [g for g in buckets.values() if len(g) > 1]
+        groups = split
         if not groups:
             return n, None
         if n >= bound:
-            return n, (repr(ball[groups[0][0]]), repr(ball[groups[0][1]]))
+            return n, (repr(ball.point(groups[0][0])), repr(ball.point(groups[0][1])))
         n += 1
 
 
@@ -757,11 +880,18 @@ def find_n0(
 ) -> dict:
     """Smallest piece radius n such that around every sampled basepoint all
     distinct points within graph distance ``radius`` have pairwise distinct
-    central pieces of radius n.  Each ball is built once, by the clique
-    walk of ``schreier_ball``; the replay pass re-keys the balls the search
-    built at the final value in one sweep.  Both passes key a ball's points,
-    projected once, with ``_fiber_keys``, which decides equal ``piece_code``
-    by the key lemma, without walking a piece."""
+    central pieces of radius n.
+
+    Each ball is walked once (``_Ball``, the walk of ``schreier_ball``), and
+    its states are keyed without building their points: by the key lemma,
+    two states share a key at n exactly when their pieces of radius n are
+    isomorphic.  The search finds each ball's least separating n by
+    splitting still-colliding groups one outward block per round, and stops
+    at the first ball that ``search_bound`` cannot separate, whose pair it
+    reports.  The replay then rebuilds every state's whole key at the final
+    n0 from its blocks, without the search's groups, and counts states that
+    share one: ``replay_collisions`` checks the search's bookkeeping
+    against the plain key."""
     del cfg  # the corpus is already sampled; kept for interface symmetry
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -771,9 +901,8 @@ def find_n0(
     n0 = 1
     balls = []
     for p in uniq:
-        ball = schreier_ball(p, radius)
-        words = [gray_projection(q) for q in ball]
-        n, witness = _ball_separation_radius(ball, words, search_bound, start=1)
+        ball = _Ball(p, radius)
+        n, witness = _separation_radius(ball, search_bound)
         if witness is not None:
             return {
                 "ok": False,
@@ -783,15 +912,15 @@ def find_n0(
                 "counterexample": {"basepoint": repr(p), "pair": witness},
             }
         n0 = max(n0, n)
-        balls.append((ball, words))
+        balls.append(ball)
     collisions = 0
     pairs_checked = 0
     vertices = 0
-    for ball, words in balls:
-        keys = _fiber_keys(ball, words, -n0, n0)
-        collisions += len(keys) - len(set(keys))
-        pairs_checked += len(ball) * (len(ball) - 1) // 2
-        vertices += len(ball)
+    for ball in balls:
+        size = len(ball.states)
+        collisions += size - len(set(ball.keys(n0)))
+        pairs_checked += size * (size - 1) // 2
+        vertices += size
     return {
         "ok": collisions == 0,
         "n0": n0,

@@ -256,28 +256,42 @@ def with_letters(p: TildePoint, changes: dict[int, int], pair: tuple[int, int] |
     return periodic_point(p.d, buf, tail.word)
 
 
-# --- text form: "13(20)" = 1 3 2 0 2 0 ...;  "2[14]" = 2 0 0 ... [1 4]
+# --- text form: "13(20)" = 1 3 2 0 2 0 ...;  "2[14]" = 2 0 0 ... [1 4];
+# a letter past 9 is written in braces: "1{11}(3)" = 1 11 3 3 ...
 
-_POINT_RE = re.compile(r"^(\d*)(?:\((\d+)\)|\[(\d\d)\])$")
+
+def _letters_text(xs) -> str:
+    """Letters as digits, a letter past 9 in braces, so the text is
+    one-to-one at every degree and plain digits up to d = 10."""
+    return "".join(str(x) if x < 10 else f"{{{x}}}" for x in xs)
+
+
+def _parse_letters(text: str) -> tuple[int, ...]:
+    xs = tuple(int(big or digit) for big, digit in re.findall(r"\{(\d+)\}|(\d)", text))
+    if _letters_text(xs) != text:
+        raise ValueError(f"bad letters text: {text!r}")
+    return xs
+
+
+_LETTER = r"(?:\d|\{\d+\})"
+_POINT_RE = re.compile(rf"^({_LETTER}*)(?:\(({_LETTER}+)\)|\[({_LETTER}{_LETTER})\])$")
 
 
 def format_point(p: TildePoint) -> str:
-    head = "".join(map(str, p.prefix))
+    head = _letters_text(p.prefix)
     if isinstance(p.tail, ZeroPair):
-        return f"{head}[{p.tail.a}{p.tail.b}]"
-    return f"{head}({''.join(map(str, p.tail.word))})"
+        return f"{head}[{_letters_text((p.tail.a, p.tail.b))}]"
+    return f"{head}({_letters_text(p.tail.word)})"
 
 
 def parse_point(text: str, d: int) -> TildePoint:
-    if d > 10:
-        raise ValueError("digit notation supports degrees up to 10")
     m = _POINT_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse point {text!r}")
-    prefix = tuple(int(c) for c in m.group(1))
+    prefix = _parse_letters(m.group(1))
     if m.group(2) is not None:
-        return periodic_point(d, prefix, tuple(int(c) for c in m.group(2)))
-    a, b = int(m.group(3)[0]), int(m.group(3)[1])
+        return periodic_point(d, prefix, _parse_letters(m.group(2)))
+    a, b = _parse_letters(m.group(3))
     return zero_pair_point(d, prefix, a, b)
 
 
@@ -431,6 +445,13 @@ def gray_neighbors(gw: GrayWord) -> tuple[GrayWord, GrayWord]:
     return a, b
 
 
+def _line_step(word: GrayWord, k: int, step: int) -> GrayWord:
+    """The word at index ``k + step`` (step 1 or -1) of the line that
+    ``gray_segment`` lays out with ``word`` at index k."""
+    a, b = gray_neighbors(word)
+    return a if (k if step > 0 else k - 1) % 2 == 1 else b
+
+
 def gray_segment(center: GrayWord, lo: int, hi: int) -> tuple[GrayWord, ...]:
     """Line segment ``lo..hi`` around ``center`` at index 0.
 
@@ -441,11 +462,9 @@ def gray_segment(center: GrayWord, lo: int, hi: int) -> tuple[GrayWord, ...]:
         raise ValueError("the window must contain index 0")
     words = {0: center}
     for k in range(0, lo, -1):
-        a, b = gray_neighbors(words[k])
-        words[k - 1] = a if (k - 1) % 2 == 1 else b
+        words[k - 1] = _line_step(words[k], k, -1)
     for k in range(0, hi):
-        a, b = gray_neighbors(words[k])
-        words[k + 1] = a if k % 2 == 1 else b
+        words[k + 1] = _line_step(words[k], k, 1)
     seg = tuple(words[k] for k in range(lo, hi + 1))
     if len(set(seg)) != len(seg):
         raise AssertionError("Gray line revisited a word; the line structure is broken")

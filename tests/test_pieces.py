@@ -22,7 +22,7 @@ from alttree.corpus import rng_for, sample_point, sample_points
 from alttree.pieces import (
     SEPARATION_RADIUS,
     GrayPiece,
-    _fiber_keys,
+    _Ball,
     _Window,
     branch_report,
     descriptor_labels,
@@ -546,6 +546,23 @@ def test_find_n0_rejects_bad_bounds():
         find_n0(CFG, pts, radius=-1)
 
 
+def test_find_n0_reports_a_counterexample():
+    # Below n0 the search runs out of bound: at radius 8 the ball of 3[12]
+    # still has two points whose radius-3 pieces agree.  The reference engine
+    # confirms the pair: their codes are equal at radius 3.
+    pts = sample_points(CFG, 12, salt="n0", max_prefix=4, max_period=2)
+    rep = find_n0(CFG, pts, radius=8, search_bound=3)
+    assert rep == {
+        "ok": False,
+        "n0": None,
+        "search_bound": 3,
+        "radius": 8,
+        "counterexample": {"basepoint": "<3[12]>", "pair": ("<101[12]>", "<101[10]>")},
+    }
+    a, b = (parse_point(text.strip("<>"), 5) for text in rep["counterexample"]["pair"])
+    assert GrayPiece.build(a, -3, 3).code() == GrayPiece.build(b, -3, 3).code()
+
+
 @pytest.mark.parametrize(
     "d, radius, want",
     [
@@ -594,52 +611,117 @@ def _partition(keys) -> list[int]:
     return [first.setdefault(k, i) for i, k in enumerate(keys)]
 
 
-def _shared_inputs(d: int, radius: int, nbase: int) -> list:
+def _fiber_keys(points: list, lo: int, hi: int) -> list[tuple]:
+    """The key lemma's key of each point, read from the point over its own
+    window ``lo..hi``: the window's slot pattern, slots labelled by first
+    appearance with x1 first and then each fiber's pair from ``lo`` to
+    ``hi``, and the point's letters in label order.  Points over one Gray
+    word share the window.  This is the key find_n0 used before it keyed
+    ball states outward, kept as their oracle."""
+    shapes: dict = {}  # per Gray word: window, slots by label, slot pattern
+    keys = []
+    for q in points:
+        w = gray_projection(q)
+        shape = shapes.get(w)
+        if shape is None:
+            win = _Window(q, lo, hi)
+            order = tuple(dict.fromkeys(itertools.chain((0,), *win.pair_slots)))  # slots by first appearance
+            label = {slot: i for i, slot in enumerate(order)}
+            shape = shapes[w] = win, order, tuple(label[i] for i in itertools.chain(*win.pair_slots))
+        win, order, pattern = shape
+        letters = win.letters(q)
+        keys.append((pattern, tuple(letters[i] for i in order)))
+    return keys
+
+
+@pytest.mark.parametrize("radius, n0", [(8, 6), (9, 7), (10, 8)])
+def test_outward_keys_partition_every_round_as_point_keys(radius, n0):
+    # find_n0 keys a ball's states outward, one block per round, from the
+    # basepoint's line and letters; the oracle keys each point over its own
+    # window.  They must split every ball of the default corpus alike in
+    # every round the search can reach.
+    pts = sample_points(CFG, 12, salt="n0", max_prefix=4, max_period=2)
+    for p in dict.fromkeys(pts):
+        ball = _Ball(p, radius)
+        points = schreier_ball(p, radius)
+        for n in range(1, n0 + 1):
+            assert _partition(ball.keys(n)) == _partition(_fiber_keys(points, -n, n)), (p, radius, n)
+
+
+def _sampled_balls(d: int, radius: int, nbase: int) -> list:
     rng = random.Random(f"shared-codes:{d}")
-    bases = [sample_point(rng, d, max_prefix=4, max_period=2) for _ in range(nbase)]
-    return [q for p in bases for q in schreier_ball(p, radius)]
+    return [_Ball(sample_point(rng, d, max_prefix=4, max_period=2), radius) for _ in range(nbase)]
+
+
+def _ball_points(balls: list) -> list:
+    return [ball.point(i) for ball in balls for i in range(len(ball.states))]
 
 
 def test_window_keys_shared_exactly_when_piece_codes_equal():
-    # find_n0 keys a list of points by their windows' slot patterns and
-    # letters; two points must share a key exactly when their own piece_code
-    # values are equal.  find_n0 uses nothing of a key but which points share
-    # it, so this oracle is as strong as equality of the codes themselves.
-    # The d = 5 list mixes two basepoints' balls over windows of span 3 to
-    # 11.  Pieces at d = 8 are large, so a radius-1 ball keeps the per-point
-    # reference codes cheap.
+    # find_n0 keys ball states by their windows' slot patterns and letters;
+    # two points must share a key exactly when their own piece_code values
+    # are equal.  find_n0 uses nothing of a key but which points share it,
+    # so this oracle is as strong as equality of the codes themselves.  The
+    # d = 5 list mixes two basepoints' balls, so keys of two balls are
+    # compared too.  Pieces at d = 8 are large, so a radius-1 ball keeps the
+    # per-point reference codes cheap.
     for d, radius, nbase, ns in ((5, 2, 2, (1, 2, 3, 5)), (8, 1, 1, (1, 2, 3))):
-        points = _shared_inputs(d, radius, nbase)
+        balls = _sampled_balls(d, radius, nbase)
+        points = _ball_points(balls)
         # fewer fibers than points: windows are shared between points
         assert len({gray_projection(q) for q in points}) < len(points)
         for n in ns:
-            keys = _fiber_keys(points, [gray_projection(q) for q in points], -n, n)
+            keys = [key for ball in balls for key in ball.keys(n)]
             assert _partition(keys) == _partition([piece_code(q, -n, n) for q in points]), (d, n)
 
 
 def test_fiber_keys_walk_no_piece(monkeypatch):
-    # The keys come from the windows alone: with the clique walk disabled
-    # they still partition the d = 5 rounds as the piece codes do, computed
-    # before the walk is disabled.
-    points = _shared_inputs(5, 2, 2)
-    words = [gray_projection(q) for q in points]
+    # The keys come from the line and the letters alone: with the clique
+    # walk disabled once the balls are walked, they still partition the
+    # d = 5 rounds as the piece codes do.
+    balls = _sampled_balls(5, 2, 2)
+    points = _ball_points(balls)
     codes = {n: [piece_code(q, -n, n) for q in points] for n in (1, 2, 3, 5)}
+    # Nor do they depend on the piece's size: at a degree whose radius-1
+    # pieces are past any cap (see test_schreier_ball_clique_cap), points
+    # get keys, not a ResourceCap.  A point that differs only at a position
+    # the window does not show shares the key; one that differs at a slot
+    # does not.
+    d = 16_385
+    alone = [_Ball(periodic_point(d, prefix, (3,)), 0) for prefix in ((1, 0, 2), (1, 0, 2, 3, 3, 9), (1, 0, 5))]
 
     def no_walk(*args):
         raise AssertionError("the keys walked a piece")
 
     monkeypatch.setattr(pieces_mod._Window, "walk", no_walk)
     for n, want in codes.items():
-        assert _partition(_fiber_keys(points, words, -n, n)) == _partition(want), n
-    # Nor do they depend on the piece's size: at a degree whose radius-1
-    # pieces are past any cap (see test_schreier_ball_clique_cap), points get
-    # keys, not a ResourceCap.  A point that differs only at a position the
-    # window does not show shares the key; one that differs at a slot does
-    # not.
-    d = 16_385
-    points = [periodic_point(d, prefix, (3,)) for prefix in ((1, 0, 2), (1, 0, 2, 3, 3, 9), (1, 0, 5))]
-    keys = _fiber_keys(points, [gray_projection(q) for q in points], -1, 1)
+        assert _partition([key for ball in balls for key in ball.keys(n)]) == _partition(want), n
+    keys = [ball.keys(1)[0] for ball in alone]
     assert keys[0] == keys[1] != keys[2], d
+
+
+@pytest.mark.parametrize("d, radius", [(5, 3), (6, 2), (8, 2)])
+def test_ball_lemmas(d, radius):
+    # The three ball lemmas of the pieces module, against schreier_ball's
+    # points: a state at fiber k has the line's word at k as its Gray word;
+    # its own line is the basepoint's, read at k + f for even k and k - f
+    # for odd k; and it has the basepoint's letters wherever the radius-R
+    # window shows none.
+    rng = random.Random(f"ball-lemmas:{d}")
+    for _ in range(3):
+        p = sample_point(rng, d, max_prefix=4, max_period=2)
+        ball = _Ball(p, radius)
+        slots = set(ball.win.slots)
+        far = max(slots) + len(p.prefix) + 6
+        for q, (k, _) in zip(schreier_ball(p, radius), ball.states):
+            w = gray_projection(q)
+            assert w == ball.word(k), (p, q)
+            sign = 1 if k % 2 == 0 else -1
+            for n in (1, 2, 3):
+                assert gray_segment(w, -n, n) == tuple(ball.word(k + sign * f) for f in range(-n, n + 1)), (p, q, n)
+            assert all(q.letter(pos) == p.letter(pos) for pos in range(1, far) if pos not in slots), (p, q)
+            if not ball.win.has_pair:
+                assert q.pair() == p.pair(), (p, q)
 
 
 def _piece_graph(piece: GrayPiece) -> nx.DiGraph:
@@ -673,29 +755,28 @@ def _pointed_isomorphic(a: nx.DiGraph, b: nx.DiGraph) -> bool:
 
 def test_fiber_keys_are_pointed_isomorphism_classes():
     # networkx decides pointed labelled isomorphism of the reference pieces,
-    # sharing no code with the keys: two points of a radius-2 ball share a
+    # sharing no code with the keys: two points of a radius-3 ball share a
     # key exactly when their pieces are isomorphic.
     # Isomorphism is an equivalence, so each point is matched to its key's
     # first point, and those first points are told apart pairwise wherever
-    # the sorted annotations do not already tell them apart.  The ball's
-    # basepoint has x1 = 0, so one-sided windows leave many points alike.
-    points = schreier_ball(parse_point("03[10]", 5), 2)
-    words = [gray_projection(q) for q in points]
+    # the sorted annotations do not already tell them apart.
+    ball = _Ball(parse_point("03[10]", 5), 3)
+    points = _ball_points([ball])
     shared = 0
-    for lo, hi in ((0, 1), (-1, 1), (0, 2)):
-        keys = _fiber_keys(points, words, lo, hi)
-        graphs = [_piece_graph(GrayPiece.build(q, lo, hi)) for q in points]
+    for n in (1, 2):
+        keys = ball.keys(n)
+        graphs = [_piece_graph(GrayPiece.build(q, -n, n)) for q in points]
         first: dict = {}
         for i, key in enumerate(keys):
             if first.setdefault(key, i) != i:
                 shared += 1
-                assert _pointed_isomorphic(graphs[first[key]], graphs[i]), (lo, hi, i)
+                assert _pointed_isomorphic(graphs[first[key]], graphs[i]), (n, i)
         alike: dict = {}
         for i in first.values():
             alike.setdefault(tuple(sorted(ann for _, ann in graphs[i].nodes(data="ann"))), []).append(i)
         for group in alike.values():
             for i, j in itertools.combinations(group, 2):
-                assert not _pointed_isomorphic(graphs[i], graphs[j]), (lo, hi, i, j)
+                assert not _pointed_isomorphic(graphs[i], graphs[j]), (n, i, j)
     assert shared  # some distinct points share a key, so both directions are tried
     assert len(set(points)) == len(points)
 

@@ -82,6 +82,36 @@ def test_text_roundtrip():
     assert parse_point("2(31)", D) == periodic_point(D, (2,), (3, 1))
 
 
+@pytest.mark.parametrize("d", [*range(5, 13), 16, 33])
+def test_text_roundtrip_at_every_degree(d):
+    # A letter past 9 is written in braces, so the text reads back at every
+    # degree; up to d = 10 it is the plain digit text, byte for byte.
+    rng = random.Random(f"text:{d}")
+    for _ in range(60):
+        p = sample_point(rng, d, max_prefix=5, max_period=3)
+        text = format_point(p)
+        assert parse_point(text, d) == p, text
+        if d <= 10:
+            digits = "".join(map(str, p.prefix))
+            tail = f"[{p.tail.a}{p.tail.b}]" if isinstance(p.tail, ZeroPair) else f"({''.join(map(str, p.tail.word))})"
+            assert text == digits + tail
+
+
+def test_texts_past_ten_are_one_to_one():
+    assert format_point(periodic_point(12, (1, 11), (3,))) == "1{11}(3)"
+    assert format_point(periodic_point(12, (11, 1), (3,))) == "{11}1(3)"
+    assert format_point(zero_pair_point(12, (), 11, 1)) == "[{11}1]"
+    assert parse_point("[{11}1]", 12) == zero_pair_point(12, (), 11, 1)
+    # a text names one letter sequence: no padded or braced small letters,
+    # and a formal pair has two letters
+    for bad in ("{1}(3)", "1{011}(3)", "[{11}]", "[1{11}2]", "1{}(3)"):
+        with pytest.raises(ValueError):
+            parse_point(bad, 12)
+    # letters are still checked against the degree
+    with pytest.raises(ValueError):
+        parse_point("1{12}(3)", 12)
+
+
 def test_with_letters():
     p = periodic_point(D, (2,), (3, 1))
     q = with_letters(p, {2: 4, 5: 0})
