@@ -110,9 +110,10 @@ show first, in label order (the block of n = 1 also holds ``x1`` and fiber
 compares new blocks only within groups whose keys are still equal.
 
 Ball lemmas.  Let W_k be the word at fiber k of a basepoint p's line
-(``gray_segment`` of its Gray word), and let (k, L) be a state of the
-piece of p over the window -R..R, with point q: L at the window's slots
-(and formal pair, if shown), p's letters elsewhere (``_Window.point``).
+(``_Window.line``, laid out from its Gray word), and let (k, L) be a state
+of the piece of p over the window -R..R, with point q: L at the window's
+slots (and formal pair, if shown), p's letters elsewhere
+(``_Window.point``).
 
 1. q's Gray word is W_k.  L fits W_k: nonzero exactly at its stars, at the
    slots.  Off the slots q has p's letters, whose zero pattern is W_0's,
@@ -123,8 +124,9 @@ piece of p over the window -R..R, with point q: L at the window's slots
    k.  A Gray word has two line neighbours, across its first bit and
    across the bit after its first star, so q's line is p's line read from
    W_k in one of its two directions.  ``gray_segment`` puts a word's
-   first-bit neighbour at -1, and on p's line the edge (k - 1, k) is a
-   first-bit edge exactly when k - 1 is odd.  So at even k, q's -1 is
+   first-bit neighbour at -1, and on p's line the first-bit neighbour of
+   fiber k is ``_line_neighbor(k, 0)``, the one home of the line's parity
+   rule: k - 1 at even k, k + 1 at odd k.  So at even k, q's -1 is
    W_(k - 1) and its offsets run with p's; at odd k, W_(k + 1) is its
    first-bit neighbour and they run against.
 3. q's letter at a position the window never shows is p's, and so is its
@@ -147,8 +149,8 @@ import itertools
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .core import AGen, Config, ResourceCap
 from .points import (
@@ -156,11 +158,11 @@ from .points import (
     OMEGA1,
     GrayWord,
     TildePoint,
-    ZeroPair,
-    _line_step,
+    _Line,
+    _line_neighbor,
+    _pair_positions,
     first_star,
     gray_projection,
-    gray_segment,
     pos_sort_key,
     visible_positions,
     with_letters,
@@ -267,41 +269,33 @@ def descriptor_labels(d: int) -> tuple[tuple, ...]:
     return tuple(labs)
 
 
-def _a_neighbor_index(k: int) -> int:
-    # line edge (m, m+1) is a first-bit edge iff m is odd
-    return k + 1 if k % 2 == 1 else k - 1
-
-
-def _b_neighbor_index(k: int) -> int:
-    return k + 1 if k % 2 == 0 else k - 1
-
-
 # ---------------------------------------------------------------------------
 # pieces
 
 
-@dataclass
 class GrayPiece:
     """Connected component of a point over a Gray-line window.
 
     ``verts[i] = (fiber, letters)`` where ``letters`` assigns values to the
     window's finite visible positions (``slots``) plus, for eventually-zero
     windows, two trailing virtual slots for the formal pair.  ``adj[i]`` has
-    one entry per descriptor label: the target vertex index or -1."""
+    one entry per descriptor label: the target vertex index or -1.  Vertex 0
+    is the state of ``origin``, the basepoint."""
 
-    d: int
-    lo: int
-    hi: int
-    segment: tuple[GrayWord, ...]
-    slots: tuple[int, ...]
-    has_pair: bool
-    verts: list[tuple[int, tuple[int, ...]]]
-    adj: list[tuple[int, ...]]
-    basepoint: int
-    origin: TildePoint
-    _codes: dict = field(default_factory=dict, repr=False)
-    _points: list | None = field(default=None, repr=False)
-    _window: _Window | None = field(default=None, repr=False)
+    basepoint = 0
+    d = property(attrgetter("win.d"))
+    lo = property(attrgetter("win.lo"))
+    hi = property(attrgetter("win.hi"))
+    segment = property(attrgetter("win.segment"))
+    slots = property(attrgetter("win.slots"))
+    has_pair = property(attrgetter("win.has_pair"))
+
+    def __init__(
+        self, win: _Window, origin: TildePoint, verts: list[tuple[int, tuple[int, ...]]], adj: list[tuple[int, ...]]
+    ):
+        self.win, self.origin, self.verts, self.adj = win, origin, verts, adj
+        self._codes: dict = {}
+        self._points: dict[int, TildePoint] = {}
 
     @property
     def size(self) -> int:
@@ -316,9 +310,8 @@ class GrayPiece:
 
     def annotation(self, i: int) -> tuple:
         k, letters = self.verts[i]
-        base = self.verts[self.basepoint][0]
-        iu, iv = self._window.pair_slots[k - self.lo]
-        return (k - base, letters[0], letters[iu], letters[iv])
+        iu, iv = self.win.pair_slots[k - self.lo]
+        return (k, letters[0], letters[iu], letters[iv])
 
     # -- construction ------------------------------------------------------
 
@@ -328,7 +321,7 @@ class GrayPiece:
         win = _Window(p, lo, hi)
         base_letters = win.letters(p)
         for i, pos in enumerate(win.slots):
-            if (base_letters[i] != 0) != bool(win.segment[-lo].bit(pos)):
+            if (base_letters[i] != 0) != bool(win.line[0].bit(pos)):
                 raise AssertionError("basepoint letters disagree with its Gray word")
 
         def moves(k: int, letters: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]] | None]:
@@ -337,12 +330,12 @@ class GrayPiece:
             # visible pair sits at adjacent slots (slots are sorted)
             x1 = letters[0]
             for c in range(d):
-                k2 = k if (c != 0) == (x1 != 0) else _a_neighbor_index(k)
+                k2 = k if (c != 0) == (x1 != 0) else _line_neighbor(k, 0)
                 yield (k2, (c,) + letters[1:]) if c != x1 and lo <= k2 <= hi else None
             iu, iv = win.pair_slots[k - lo]
             for u2 in range(1, d):
                 for v2 in range(d):
-                    k2 = k if (v2 != 0) == (letters[iv] != 0) else _b_neighbor_index(k)
+                    k2 = k if (v2 != 0) == (letters[iv] != 0) else _line_neighbor(k, 1)
                     if (u2, v2) == (letters[iu], letters[iv]) or not lo <= k2 <= hi:
                         yield None
                     else:
@@ -363,29 +356,14 @@ class GrayPiece:
                         raise ResourceCap(f"GrayPiece.build: {len(verts)} vertices exceed _PIECE_CAP = {_PIECE_CAP}")
                 row.append(-1 if state is None else index[state])
             adj.append(tuple(row))
-        return GrayPiece(
-            d=d,
-            lo=lo,
-            hi=hi,
-            segment=win.segment,
-            slots=win.slots,
-            has_pair=win.has_pair,
-            verts=verts,
-            adj=adj,
-            basepoint=0,
-            origin=p,
-            _window=win,
-        )
+        return GrayPiece(win, p, verts, adj)
 
     # -- materialization ---------------------------------------------------
 
     def point_of(self, i: int) -> TildePoint:
-        if self._points is None:
-            self._points = [None] * len(self.verts)
-        cached = self._points[i]
-        if cached is not None:
-            return cached
-        pt = self._points[i] = self._window.point(self.origin, self.verts[i][1])
+        pt = self._points.get(i)
+        if pt is None:
+            pt = self._points[i] = self.win.point(self.origin, self.verts[i][1])
         return pt
 
     def points(self) -> list[TildePoint]:
@@ -399,7 +377,7 @@ class GrayPiece:
             g = word[0]
             for i in range(self.size):
                 k, letters = self.verts[i]
-                iu, iv = self._window.pair_slots[k - self.lo]
+                iu, iv = self.win.pair_slots[k - self.lo]
                 if isinstance(g, AGen):
                     c = g.pi(letters[0])
                     lab = ("A", c) if c != letters[0] else None
@@ -599,25 +577,21 @@ class _Window:
     def __init__(self, p: TildePoint, lo: int, hi: int):
         if not lo <= 0 <= hi:
             raise ValueError("the window must contain the basepoint fiber")
-        self.segment = gray_segment(gray_projection(p), lo, hi)
+        self.line = _Line(gray_projection(p))  # laid out past the window as far as a caller reads it
+        self.segment = tuple(self.line[k] for k in range(lo, hi + 1))
         self.slots, self.has_pair = visible_positions(self.segment)
-        slot_index = {pos: i for i, pos in enumerate(self.slots)}
-        nfin = len(self.slots)
-        self.pair_slots = []  # per fiber offset: slot indices of the visible pair
-        for w in self.segment:
-            j = first_star(w)
-            self.pair_slots.append((nfin, nfin + 1) if j is OMEGA else (slot_index[j], slot_index[j + 1]))
+        # the positions in view, in the order of a state's letters, and each
+        # one's index there
+        self.positions = self.slots + ((OMEGA, OMEGA1) if self.has_pair else ())
+        self.index = {pos: i for i, pos in enumerate(self.positions)}
+        # per fiber offset: the letter indices of the visible pair
+        self.pair_slots = [tuple(self.index[pos] for pos in _pair_positions(w)) for w in self.segment]
         self.d, self.lo, self.hi = p.d, lo, hi
 
     def letters(self, q: TildePoint) -> tuple[int, ...]:
         """Letters of a point over the window's center word at the slots,
         then the formal pair when the window shows it."""
-        letters = tuple(q.letter(pos) for pos in self.slots)
-        if self.has_pair:
-            if not isinstance(q.tail, ZeroPair):
-                raise AssertionError("window shows formal positions but the point has none")
-            letters += (q.tail.a, q.tail.b)
-        return letters
+        return tuple(map(q.letter, self.positions))
 
     def point(self, p: TildePoint, letters: tuple[int, ...]) -> TildePoint:
         """The point that has ``letters`` at the window's slots (and formal
@@ -649,7 +623,7 @@ class _Window:
             # the clique rewrites the letters from ``at`` on (x1, or the
             # pair); its last one picks the fiber
             width = 1 + kind
-            other = _b_neighbor_index(k) if kind else _a_neighbor_index(k)
+            other = _line_neighbor(k, kind)
             zero, other = (k, other) if letters[at + width - 1] == 0 else (other, k)
             in_zero, in_other = lo <= zero <= hi, lo <= other <= hi
             count = (d - 1) ** kind * (in_zero + (d - 1) * in_other)
@@ -699,7 +673,7 @@ class _Ball:
     ``schreier_ball``), in ``_Window.walk``'s form.  By the ball lemmas
     (module docstring) the basepoint's Gray line, its letters and a state
     give the state's key over its own window, so no point is built for a
-    state.  The line grows by one fiber at each end as the keys need it.
+    state.  The window's line grows past the window as the keys need it.
     A state's outward block at n is the part of its key for its own fibers
     -n and +n (with its x1 and fiber 0 at n = 1); its blocks 1..n are its
     key at piece radius n."""
@@ -708,42 +682,29 @@ class _Ball:
         win = _Window(p, -radius, radius)
         self.p, self.win = p, win
         self.states = win.walk((0, win.letters(p)), layers=radius + 1)[0]
-        self.line = dict(zip(range(-radius, radius + 1), win.segment))
-        formal = (OMEGA, OMEGA1) if win.has_pair else ()
-        self._index = {pos: i for i, pos in enumerate(win.slots + formal)}  # per position in view: its index in a state's letters
-        self._labels = {k: {} for k in self.line}  # per state fiber: the slot labels given so far
+        self._labels = {k: {} for k in range(-radius, radius + 1)}  # per state fiber: the slot labels given so far
         self._blocks: list[dict] = []  # per n from 1, per state fiber: a block's pattern, picker and fixed letters
-
-    def word(self, k: int) -> GrayWord:
-        """The Gray word at fiber ``k`` of the basepoint's line."""
-        line = self.line
-        while k not in line:
-            h = len(line) // 2
-            line[-h - 1] = _line_step(line[-h], -h, -1)
-            line[h + 1] = _line_step(line[h], h, 1)
-            if len(set(line.values())) != len(line):
-                raise AssertionError("Gray line revisited a word; the line structure is broken")
-        return line[k]
 
     def _table(self, n: int) -> dict:
         # The blocks at n of the states at each fiber k.  The pattern is the
         # labels of the roles of the own fibers -n and +n: the line fibers
-        # k - n and k + n, in that order at even k and reversed at odd k
-        # (after x1 and fiber 0 at n = 1).  The picker takes the letters of
+        # k - n and k + n, in that order when the line's first-bit
+        # neighbour of k is k - 1 and reversed when it is k + 1 (ball lemma
+        # 2; after x1 and fiber 0 at n = 1).  The picker takes the letters of
         # the slots labelled first here, in label order, from a state's
         # letters followed by the basepoint's letters at those slots out of
         # view.  It picks one letter bare, not in a tuple.  That is still
         # exact: a block is compared only when the blocks before it are
         # equal, and then equal patterns hold as many new labels.
-        index, p = self._index, self.p
+        index, line, p = self.win.index, self.win.line, self.p
         while len(self._blocks) < n:
             m = len(self._blocks) + 1
             table = {}
             for k, labels in self._labels.items():
-                s = m if k % 2 == 0 else -m
-                roles = (*_pair_roles(self.word(k - s)), *_pair_roles(self.word(k + s)))
+                s = m * (k - _line_neighbor(k, 0))
+                roles = (*_pair_positions(line[k - s]), *_pair_positions(line[k + s]))
                 if m == 1:
-                    roles = (1, *_pair_roles(self.word(k)), *roles)
+                    roles = (1, *_pair_positions(line[k]), *roles)
                 pattern, new = [], []
                 for pos in roles:
                     if pos not in labels:
@@ -756,7 +717,7 @@ class _Ball:
                         at.append(index[pos])
                     else:
                         at.append(len(index) + len(fixed))
-                        fixed.append(_letter_at(p, pos))
+                        fixed.append(p.letter(pos))
                 table[k] = tuple(pattern), itemgetter(*at) if at else _no_letters, tuple(fixed)
             self._blocks.append(table)
         return self._blocks[n - 1]
@@ -769,18 +730,6 @@ class _Ball:
 
     def point(self, i: int) -> TildePoint:
         return self.win.point(self.p, self.states[i][1])
-
-
-def _pair_roles(w: GrayWord) -> tuple:
-    """The positions of a Gray word's visible pair."""
-    j = first_star(w)
-    return (OMEGA, OMEGA1) if j is OMEGA else (j, j + 1)
-
-
-def _letter_at(p: TildePoint, pos) -> int:
-    if pos is OMEGA or pos is OMEGA1:
-        return (p.tail.a, p.tail.b)[pos is OMEGA1]
-    return p.letter(pos)
 
 
 def _no_letters(letters: tuple[int, ...]) -> tuple:
@@ -796,6 +745,8 @@ def schreier_ball(p: TildePoint, radius: int) -> list[TildePoint]:
     breadth-first layers of the piece of ``p`` over that window.  The walk
     stops after them, and each state becomes a point by ``_Window.point``,
     the map ``GrayPiece.point_of`` uses."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     ball = _Ball(p, radius)
     return [ball.win.point(p, letters) for _, letters in ball.states]
 

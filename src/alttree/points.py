@@ -115,8 +115,13 @@ class TildePoint:
     prefix: tuple[int, ...]
     tail: Periodic | ZeroPair
 
-    def letter(self, pos: int) -> int:
-        """The letter at a finite 1-based position."""
+    def letter(self, pos: Position) -> int:
+        """The letter at a finite 1-based position, or a doubled point's
+        formal letter at ``OMEGA`` or ``OMEGA1``."""
+        if pos is OMEGA or pos is OMEGA1:
+            if not isinstance(self.tail, ZeroPair):
+                raise ValueError("only doubled points carry a formal pair")
+            return self.tail.b if pos is OMEGA1 else self.tail.a
         if pos < 1:
             raise ValueError("positions are 1-based")
         i = pos - 1
@@ -240,6 +245,8 @@ def _shift(p: TildePoint, n: int) -> TildePoint:
 
 def with_letters(p: TildePoint, changes: dict[int, int], pair: tuple[int, int] | None = None) -> TildePoint:
     """Copy of ``p`` with finite letters (and/or the formal pair) replaced."""
+    if changes and min(changes) < 1:
+        raise ValueError("positions are 1-based")
     m = max([len(p.prefix)] + [pos for pos in changes])
     tail = p.tail
     if isinstance(tail, Periodic):
@@ -445,42 +452,61 @@ def gray_neighbors(gw: GrayWord) -> tuple[GrayWord, GrayWord]:
     return a, b
 
 
-def _line_step(word: GrayWord, k: int, step: int) -> GrayWord:
-    """The word at index ``k + step`` (step 1 or -1) of the line that
-    ``gray_segment`` lays out with ``word`` at index k."""
-    a, b = gray_neighbors(word)
-    return a if (k if step > 0 else k - 1) % 2 == 1 else b
+def _line_neighbor(k: int, kind: int) -> int:
+    """The index of fiber k's first-bit neighbour (kind 0) or after-the-star
+    neighbour (kind 1) on a line that ``gray_segment`` lays out: the edge
+    between indices (m, m + 1) is a first-bit edge exactly when m is odd."""
+    return k + 1 if (k + kind) % 2 else k - 1
+
+
+class _Line:
+    """The Gray line through ``center``, laid out on demand: ``line[k]`` is
+    the word at index k, with ``center`` at index 0 and its first-bit
+    neighbour at -1."""
+
+    def __init__(self, center: GrayWord):
+        self._words = {0: center}
+        self._seen = {center}
+        self._ends = [0, 0]  # the lowest and the highest index laid out
+
+    def __getitem__(self, k: int) -> GrayWord:
+        words, ends = self._words, self._ends
+        while k not in words:
+            side = k > 0
+            end = ends[side]
+            new = ends[side] = end + (1 if side else -1)
+            word = gray_neighbors(words[end])[_line_neighbor(end, 0) != new]
+            if word in self._seen:
+                raise AssertionError("Gray line revisited a word; the line structure is broken")
+            self._seen.add(word)
+            words[new] = word
+        return words[k]
 
 
 def gray_segment(center: GrayWord, lo: int, hi: int) -> tuple[GrayWord, ...]:
     """Line segment ``lo..hi`` around ``center`` at index 0.
 
-    The first-bit neighbor of the center sits at index -1; the line edge
-    between indices (k, k+1) is a first-bit edge for odd k and an
-    after-the-star edge for even k."""
+    The first-bit neighbor of the center sits at index -1, and the rest of
+    the line follows the parity rule of ``_line_neighbor``."""
     if not lo <= 0 <= hi:
         raise ValueError("the window must contain index 0")
-    words = {0: center}
-    for k in range(0, lo, -1):
-        words[k - 1] = _line_step(words[k], k, -1)
-    for k in range(0, hi):
-        words[k + 1] = _line_step(words[k], k, 1)
-    seg = tuple(words[k] for k in range(lo, hi + 1))
-    if len(set(seg)) != len(seg):
-        raise AssertionError("Gray line revisited a word; the line structure is broken")
-    return seg
+    line = _Line(center)
+    return tuple(line[k] for k in range(lo, hi + 1))
+
+
+def _pair_positions(word: GrayWord) -> tuple[Position, Position]:
+    """The positions of a Gray word's visible pair: its first star and the
+    position right after it."""
+    j = first_star(word)
+    return (OMEGA, OMEGA1) if j is OMEGA else (j, j + 1)
 
 
 def visible_positions(segment) -> tuple[tuple[int, ...], bool]:
     """Finite positions whose bit some segment word exposes (the first bit,
     each word's first star and its follower), plus an at-infinity flag."""
-    finite = {1}
-    has_inf = False
+    shown = {1}
     for gw in segment:
-        j = first_star(gw)
-        if j is OMEGA:
-            has_inf = True
-        else:
-            finite.add(j)
-            finite.add(j + 1)
-    return tuple(sorted(finite)), has_inf
+        shown.update(_pair_positions(gw))
+    has_inf = OMEGA in shown
+    shown -= {OMEGA, OMEGA1}
+    return tuple(sorted(shown)), has_inf

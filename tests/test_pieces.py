@@ -715,10 +715,10 @@ def test_ball_lemmas(d, radius):
         far = max(slots) + len(p.prefix) + 6
         for q, (k, _) in zip(schreier_ball(p, radius), ball.states):
             w = gray_projection(q)
-            assert w == ball.word(k), (p, q)
+            assert w == ball.win.line[k], (p, q)
             sign = 1 if k % 2 == 0 else -1
             for n in (1, 2, 3):
-                assert gray_segment(w, -n, n) == tuple(ball.word(k + sign * f) for f in range(-n, n + 1)), (p, q, n)
+                assert gray_segment(w, -n, n) == tuple(ball.win.line[k + sign * f] for f in range(-n, n + 1)), (p, q, n)
             assert all(q.letter(pos) == p.letter(pos) for pos in range(1, far) if pos not in slots), (p, q)
             if not ball.win.has_pair:
                 assert q.pair() == p.pair(), (p, q)
@@ -925,6 +925,11 @@ def test_schreier_ball_matches_enumeration_oracle():
                 letters += [q.tail.a, q.tail.b]
             got.add((seg.index(gray_projection(q)) - r, tuple(letters)))
         assert got == want and len(ball) == len(want), p
+
+
+def test_schreier_ball_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        schreier_ball(parse_point("1(3)", 5), -1)
 
 
 def test_schreier_ball_clique_cap():

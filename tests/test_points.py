@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from alttree.points import (
     GrayWord,
     Periodic,
     ZeroPair,
+    _line_neighbor,
     act,
     first_star,
     format_point,
@@ -71,6 +73,11 @@ def test_letter_access():
     q = zero_pair_point(D, (1,), 2, 4)
     assert q.letter(1) == 1 and q.letter(2) == 0 and q.letter(17) == 0
     assert q.pair() == (2, 4)
+    # the formal letters of a doubled point; a periodic point has none
+    assert (q.letter(OMEGA), q.letter(OMEGA1)) == q.pair()
+    for pos in (OMEGA, OMEGA1):
+        with pytest.raises(ValueError, match="^only doubled points carry a formal pair$"):
+            p.letter(pos)
 
 
 def test_text_roundtrip():
@@ -118,6 +125,10 @@ def test_with_letters():
     assert q.letters(6) == (2, 4, 1, 3, 0, 3)
     z = zero_pair_point(D, (1,), 2, 4)
     assert with_letters(z, {3: 2}, pair=(3, 0)) == zero_pair_point(D, (1, 0, 2), 3, 0)
+    # a position below 1 names no letter, so it is refused
+    for text, changes in (("123(4)", {0: 0}), ("123(4)", {-2: 0}), ("12[34]", {0: 3})):
+        with pytest.raises(ValueError, match="^positions are 1-based$"):
+            with_letters(parse_point(text, D), changes)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +274,40 @@ def test_gray_segment_distinct_and_consistent():
         # the center's first-bit neighbor is on the left
         a, b = gray_neighbors(seg[4])
         assert seg[3] == a and seg[5] == b
+
+
+def _bits_differ(v: GrayWord, w: GrayWord, n: int) -> set:
+    """The positions among 1..n, and OMEGA1 for eventually-zero words, at
+    which two Gray words of one kind differ, read by ``bit`` alone."""
+    positions = [*range(1, n + 1), *([OMEGA1] if v.period is None else [])]
+    return {pos for pos in positions if v.bit(pos) != w.bit(pos)}
+
+
+def _after_first_star(w: GrayWord, n: int):
+    """The position right after the first star, read by ``bit`` alone: a
+    word without a star among 1..n is eventually zero, starred at OMEGA."""
+    return next((pos + 1 for pos in range(1, n + 1) if w.bit(pos)), OMEGA1)
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_line_neighbor_parity_rule(d):
+    # The parity rule against the words gray_segment lays out, by bits
+    # alone: fiber k and its kind-0 neighbour differ exactly at bit 1, and k
+    # and its kind-1 neighbour exactly at the bit after k's first star.
+    rng = random.Random(f"line-parity:{d}")
+    kinds = set()
+    for _ in range(16):
+        w = gray_projection(sample_point(rng, d, max_prefix=4, max_period=2))
+        kinds.add(w.period is None)
+        seg = gray_segment(w, -9, 9)
+        # every word is periodic past the longest prefix, with a period
+        # dividing lcm of the periods, so n bits hold every difference
+        n = 2 * (max(len(v.prefix) for v in seg) + math.lcm(*(len(v.period) for v in seg if v.period)))
+        for k in range(-8, 9):
+            word = seg[k + 9]
+            assert _bits_differ(word, seg[_line_neighbor(k, 0) + 9], n) == {1}, (w, k)
+            assert _bits_differ(word, seg[_line_neighbor(k, 1) + 9], n) == {_after_first_star(word, n)}, (w, k)
+    assert kinds == {True, False}
 
 
 def test_generators_touch_only_their_bits():
