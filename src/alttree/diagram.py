@@ -444,8 +444,12 @@ class ClopenSet:
 
 def clopen(d: int, paths) -> ClopenSet:
     """Normal form: drop covered cylinders, then merge every complete
-    family of siblings into its parent until nothing merges."""
+    family of siblings into its parent until nothing merges.  A path of
+    another degree than ``d`` raises ValueError."""
     ps = set(paths)
+    for p in ps:
+        if p.d != d:
+            raise ValueError("degree mismatch")
     keys = {(p.labels, p.end) for p in ps}
     # drop each path that has a proper ancestor present
     ps = {p for p in ps if not any(k in keys for k in _prefixes(p)[:-1])}

@@ -156,7 +156,6 @@ from .core import AGen, Config, ResourceCap
 from .points import (
     OMEGA,
     OMEGA1,
-    GrayWord,
     TildePoint,
     _Line,
     _line_neighbor,
@@ -321,7 +320,7 @@ class GrayPiece:
         win = _Window(p, lo, hi)
         base_letters = win.letters(p)
         for i, pos in enumerate(win.slots):
-            if (base_letters[i] != 0) != bool(win.line[0].bit(pos)):
+            if (base_letters[i] != 0) != bool(win.line[0].letter(pos)):
                 raise AssertionError("basepoint letters disagree with its Gray word")
 
         def moves(k: int, letters: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]] | None]:
@@ -528,7 +527,7 @@ def branch_report(piece: GrayPiece) -> dict:
     return out
 
 
-def segment_roots(segment: tuple[GrayWord, ...]) -> tuple[list[int], list[int], object]:
+def segment_roots(segment: tuple[TildePoint, ...]) -> tuple[list[int], list[int], object]:
     """Indices (into the segment) of roots and anti-roots, plus the root
     depth.  The root is the word whose first star sits deepest; anti-roots
     sit exactly one position higher.  Windows rooted at the formal position
@@ -599,15 +598,15 @@ class _Window:
         pair = letters[-2:] if self.has_pair else None
         return with_letters(p, dict(zip(self.slots, letters)), pair=pair)
 
-    def walk(self, start: tuple[int, tuple[int, ...]], layers: int | None = None) -> tuple[list, tuple, tuple]:
+    def walk(self, start: tuple[int, tuple[int, ...]], layers: int | None = None) -> tuple[list, tuple]:
         """Breadth-first walk of the piece of the state ``start`` by its move
         cliques (clique lemma), stopped after ``layers`` layers if given.
 
-        Returns ``(verts, of, members)``: the states in breadth-first order;
-        per clique kind, A then B, each vertex's clique number (-1 for a
-        clique not expanded, which only a stopped walk's last layer has);
-        and each clique's member numbers, one per letter (pair) in label
-        order, -1 for a member outside the window.  A clique is expanded
+        Returns ``(verts, rows)``: the states in breadth-first order, and
+        per clique kind, A then B, each vertex's clique row: its clique's
+        member numbers, one per letter (pair) in label order, -1 for a
+        member outside the window; None for a clique not expanded, which
+        only a stopped walk's last layer has.  A clique is expanded
         once, from its first vertex, so the walk numbers vertices in
         ``GrayPiece.build``'s order.  A clique's members in the window are
         counted before it is listed, and each of them joins the walk, so a
@@ -616,8 +615,7 @@ class _Window:
         d, lo, hi = self.d, self.lo, self.hi
         verts = [start]
         index = {start: 0}
-        of: tuple[list[int], list[int]] = ([-1], [-1])
-        members: tuple[list[array], list[array]] = ([], [])
+        rows: tuple[list[array | None], list[array | None]] = ([None], [None])
 
         def expand(kind: int, k: int, letters: tuple[int, ...], at: int) -> None:
             # the clique rewrites the letters from ``at`` on (x1, or the
@@ -633,7 +631,7 @@ class _Window:
                 )
             head, tail = letters[:at], letters[at + width :]
             labels = itertools.product(range(1, d), range(d)) if kind else itertools.product(range(d))
-            number, row, owner = len(members[kind]), array("i"), of[kind]
+            row, owner = array("i"), rows[kind]
             for lab in labels:
                 fiber, inside = (other, in_other) if lab[-1] else (zero, in_zero)
                 if not inside:
@@ -644,25 +642,24 @@ class _Window:
                 if j is None:
                     j = index[state] = len(verts)
                     verts.append(state)
-                    of[0].append(-1)
-                    of[1].append(-1)
+                    rows[0].append(None)
+                    rows[1].append(None)
                     if len(verts) > _PIECE_CAP:
                         raise ResourceCap(f"_Window.walk: {len(verts)} vertices exceed _PIECE_CAP = {_PIECE_CAP}")
-                owner[j] = number
+                owner[j] = row
                 row.append(j)
-            members[kind].append(row)
 
         layer, depth = range(1), 1
         while layer and depth != layers:
             first = len(verts)
             for i in layer:
                 k, letters = verts[i]
-                if of[0][i] < 0:
+                if rows[0][i] is None:
                     expand(0, k, letters, 0)
-                if of[1][i] < 0:
+                if rows[1][i] is None:
                     expand(1, k, letters, self.pair_slots[k - lo][0])
             layer, depth = range(first, len(verts)), depth + 1
-        return verts, of, members
+        return verts, rows
 
 
 class _Ball:
@@ -771,22 +768,21 @@ def piece_code(q: TildePoint, lo: int, hi: int, memo: dict | None = None) -> byt
     win = _Window(q, lo, hi)
     key = None
     if memo is not None:
-        shape = tuple((w.prefix, w.period, w.star2) for w in win.segment)
-        key = hashlib.sha256(repr((shape, lo, hi, win.letters(q))).encode()).digest()
+        key = hashlib.sha256(repr((win.segment, lo, hi, win.letters(q))).encode()).digest()
         code = memo.get(key)
         if code is not None:
             return code
         if len(memo) > 1_000_000:
             memo.clear()
     d = win.d
-    verts, (of_a, of_b), (a_members, b_members) = win.walk((0, win.letters(q)))
+    verts, (a_rows, b_rows) = win.walk((0, win.letters(q)))
     h = hashlib.sha256()
-    for (k, letters), a, b in zip(verts, of_a, of_b):
+    for (k, letters), a, b in zip(verts, a_rows, b_rows):
         iu = win.pair_slots[k - lo][0]
         x1, u, v = letters[0], letters[iu], letters[iu + 1]
         row = array("i", (k, x1, u, v))
-        row += a_members[a]
-        row += b_members[b]
+        row += a
+        row += b
         row[4 + x1] = row[4 + u * d + v] = -1  # no move keeps its letter
         h.update(row)
     code = h.digest()
@@ -849,6 +845,8 @@ def find_n0(
     if search_bound < 1:
         raise ValueError("search_bound must be positive")
     uniq = list(dict.fromkeys(points))
+    if not uniq:
+        raise ValueError("the corpus must hold a basepoint")
     n0 = 1
     balls = []
     for p in uniq:

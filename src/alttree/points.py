@@ -19,10 +19,13 @@ the identity) acts on the formal pair the same way it would act on a
 two-letter word.
 
 The Gray projection forgets everything about a letter except whether it
-is zero.  Its image is the set of "Gray words"; each Gray word has
-exactly two line neighbors: flip the first bit (an ``A`` move), or flip
-the bit right after the first star (a ``B`` move).  Positions are
-1-based; ``OMEGA``/``OMEGA1`` stand for the two formal positions.
+is zero.  Its image is the set of "Gray words": points over {0, 1} (of
+degree 2), with bit 1 (a star) exactly where the letter is nonzero, so a
+doubled Gray word's formal pair starts with 1.  ``TildePoint.letter``
+reads their bits.  Each Gray word has exactly two line neighbors: flip
+the first bit (an ``A`` move), or flip the bit right after the first star
+(a ``B`` move).  Positions are 1-based; ``OMEGA``/``OMEGA1`` stand for the
+two formal positions.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ __all__ = [
     "format_point",
     "act",
     "section_at_zero_ray",
-    "GrayWord",
     "gray_word",
     "gray_projection",
     "first_star",
@@ -192,7 +194,8 @@ def _periodic(d: int, prefix: tuple[int, ...], period: tuple[int, ...]) -> Tilde
     """The normal form of ``prefix . (period)^inf``, without the letter
     checks of :func:`periodic_point`, built through the slot setters.
     Only for letters valid by construction: ``act``, ``_shift`` and
-    ``diagram.decode`` pass letters read from valid points and paths."""
+    ``diagram.decode`` pass letters read from valid points and paths, and
+    ``gray_word`` and ``gray_projection`` pass bits."""
     period = _primitive(period)
     if not any(period):
         raise ValueError("period must contain a nonzero letter")
@@ -356,100 +359,45 @@ def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int) -> Gen:
 # Gray words
 
 
-@dataclass(frozen=True)
-class GrayWord:
-    """A 0/1 sequence in canonical form.  ``period is None`` marks the
-    eventually-zero kind, whose bit at ``OMEGA`` is always a star and whose
-    bit at ``OMEGA1`` is ``star2``."""
-
-    prefix: tuple[int, ...]
-    period: tuple[int, ...] | None
-    star2: bool | None
-
-    def bit(self, pos: Position) -> int:
-        if pos is OMEGA or pos is OMEGA1:
-            if self.period is not None:
-                raise ValueError("this Gray word has no formal positions")
-            return 1 if (pos is OMEGA or self.star2) else 0
-        i = pos - 1
-        if i < len(self.prefix):
-            return self.prefix[i]
-        if self.period is None:
-            return 0
-        return self.period[(i - len(self.prefix)) % len(self.period)]
-
-    def __repr__(self):
-        head = "".join("*" if b else "0" for b in self.prefix)
-        if self.period is None:
-            return f"|{head}[*{'*' if self.star2 else '0'}]|"
-        return f"|{head}({''.join('*' if b else '0' for b in self.period)})|"
-
-
-def gray_word(prefix, period=None, star2=None) -> GrayWord:
-    prefix = tuple(int(bool(x)) for x in prefix)
+def gray_word(prefix, period=None, star2=None) -> TildePoint:
+    """The Gray word with bit 1 exactly where a letter of ``prefix``, then
+    of ``period`` repeated, is nonzero; without a period, the doubled one
+    with bits ``prefix``, then zeros, and the formal pair (1, ``star2``)."""
+    prefix = tuple([int(bool(x)) for x in prefix])
     if period is None:
         if star2 is None:
             raise ValueError("eventually-zero Gray words need the second formal bit")
-        while prefix and prefix[-1] == 0:
-            prefix = prefix[:-1]
-        return GrayWord(prefix, None, bool(star2))
+        return _zero_pair(2, prefix, 1, int(bool(star2)))
     if star2 is not None:
         raise ValueError("periodic Gray words have no formal bits")
-    period = _primitive(tuple(int(bool(x)) for x in period))
-    if all(b == 0 for b in period):
-        raise ValueError("period must contain a star")
-    prefix = list(prefix)
-    period = list(period)
-    while prefix and prefix[-1] == period[-1]:
-        prefix.pop()
-        period.insert(0, period.pop())
-    return GrayWord(tuple(prefix), tuple(period), None)
+    return _periodic(2, prefix, tuple([int(bool(x)) for x in period]))
 
 
-def gray_projection(p: TildePoint) -> GrayWord:
+def gray_projection(p: TildePoint) -> TildePoint:
+    """The Gray word of ``p``: bit 1 where its letter is nonzero."""
+    prefix = tuple([int(x != 0) for x in p.prefix])
     if isinstance(p.tail, ZeroPair):
-        return gray_word([x != 0 for x in p.prefix], star2=p.tail.b != 0)
-    return gray_word([x != 0 for x in p.prefix], [x != 0 for x in p.tail.word])
+        return _zero_pair(2, prefix, 1, int(p.tail.b != 0))
+    return _periodic(2, prefix, tuple([int(x != 0) for x in p.tail.word]))
 
 
-def first_star(gw: GrayWord) -> Position:
-    for i, b in enumerate(gw.prefix):
-        if b:
-            return i + 1
-    if gw.period is None:
+def first_star(gw: TildePoint) -> Position:
+    if gw.d != 2:
+        raise ValueError("a Gray word is a point of degree 2")
+    if 1 in gw.prefix:
+        return gw.prefix.index(1) + 1
+    if isinstance(gw.tail, ZeroPair):
         return OMEGA
-    n = len(gw.prefix)
-    for i, b in enumerate(gw.period):
-        if b:
-            return n + i + 1
-    raise AssertionError("canonical Gray word without a star")
+    return len(gw.prefix) + gw.tail.word.index(1) + 1
 
 
-def _flip(gw: GrayWord, pos: int) -> GrayWord:
-    """Flip a finite bit, expanding the representation as needed."""
-    prefix = list(gw.prefix)
-    period = list(gw.period) if gw.period is not None else None
-    while len(prefix) < pos:
-        if period is None:
-            prefix.append(0)
-        else:
-            prefix.append(period[0])
-            period.append(period.pop(0))
-    prefix[pos - 1] ^= 1
-    if period is None:
-        return gray_word(prefix, star2=gw.star2)
-    return gray_word(prefix, period)
-
-
-def gray_neighbors(gw: GrayWord) -> tuple[GrayWord, GrayWord]:
+def gray_neighbors(gw: TildePoint) -> tuple[TildePoint, TildePoint]:
     """(first-bit flip, after-first-star flip)."""
-    a = _flip(gw, 1)
+    a = with_letters(gw, {1: 1 - gw.letter(1)})
     j = first_star(gw)
     if j is OMEGA:
-        b = gray_word(gw.prefix, star2=not gw.star2)
-    else:
-        b = _flip(gw, j + 1)
-    return a, b
+        return a, with_letters(gw, {}, pair=(1, 1 - gw.tail.b))
+    return a, with_letters(gw, {j + 1: 1 - gw.letter(j + 1)})
 
 
 def _line_neighbor(k: int, kind: int) -> int:
@@ -464,12 +412,12 @@ class _Line:
     the word at index k, with ``center`` at index 0 and its first-bit
     neighbour at -1."""
 
-    def __init__(self, center: GrayWord):
+    def __init__(self, center: TildePoint):
         self._words = {0: center}
         self._seen = {center}
         self._ends = [0, 0]  # the lowest and the highest index laid out
 
-    def __getitem__(self, k: int) -> GrayWord:
+    def __getitem__(self, k: int) -> TildePoint:
         words, ends = self._words, self._ends
         while k not in words:
             side = k > 0
@@ -483,7 +431,7 @@ class _Line:
         return words[k]
 
 
-def gray_segment(center: GrayWord, lo: int, hi: int) -> tuple[GrayWord, ...]:
+def gray_segment(center: TildePoint, lo: int, hi: int) -> tuple[TildePoint, ...]:
     """Line segment ``lo..hi`` around ``center`` at index 0.
 
     The first-bit neighbor of the center sits at index -1, and the rest of
@@ -494,7 +442,7 @@ def gray_segment(center: GrayWord, lo: int, hi: int) -> tuple[GrayWord, ...]:
     return tuple(line[k] for k in range(lo, hi + 1))
 
 
-def _pair_positions(word: GrayWord) -> tuple[Position, Position]:
+def _pair_positions(word: TildePoint) -> tuple[Position, Position]:
     """The positions of a Gray word's visible pair: its first star and the
     position right after it."""
     j = first_star(word)

@@ -606,6 +606,18 @@ def test_clopen_normal_form_merges():
     assert clopen(D, all_one) == full_space(D)
 
 
+def test_clopen_rejects_paths_of_another_degree():
+    # A d = 5 set holding the d = 6 cylinder 1@12* would accept the d = 6
+    # point 1(12) as a member, and its union with the d = 5 cylinder of the
+    # same text would list 1@12* twice, which is no normal form.
+    six = parse_path("1@12*", 6)
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        clopen(5, [six])
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        clopen(5, [parse_path("1@12*", 5), six])
+    assert clopen(6, [six]).member(parse_point("1(12)", 6))
+
+
 def test_path_text_roundtrip():
     samples = ["@top", "40@21*", "013@140", "2@100"]
     for text in samples:

@@ -104,9 +104,9 @@ def _enumerate_candidates(p, lo, hi):
     for idx, w in enumerate(seg):
         per_slot = []
         for pos in slots:
-            per_slot.append((0,) if w.bit(pos) == 0 else tuple(range(1, d)))
+            per_slot.append((0,) if w.letter(pos) == 0 else tuple(range(1, d)))
         if has_inf:
-            bs = tuple(range(1, d)) if w.star2 else (0,)
+            bs = tuple(range(1, d)) if w.tail.b else (0,)
             per_slot.append(tuple(range(1, d)))
             per_slot.append(bs)
         for vals in itertools.product(*per_slot):
@@ -544,6 +544,9 @@ def test_find_n0_rejects_bad_bounds():
         find_n0(CFG, pts, radius=2, search_bound=0)
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         find_n0(CFG, pts, radius=-1)
+    # an empty corpus has no ball to measure a separation radius on
+    with pytest.raises(ValueError, match="the corpus must hold a basepoint"):
+        find_n0(CFG, [], radius=8)
 
 
 def test_find_n0_reports_a_counterexample():
@@ -843,7 +846,7 @@ def test_move_cliques():
         neighbour = {"A": {}, "B": {}}
         for k in range(lo, hi + 1):
             for k2 in (k - 1, k + 1):
-                same = wide[k2 - lo + 1].bit(1) == wide[k - lo + 1].bit(1)
+                same = wide[k2 - lo + 1].letter(1) == wide[k - lo + 1].letter(1)
                 neighbour["B" if same else "A"][k] = k2
         for kind, labels in (("A", [(c,) for c in range(d)]), ("B", [(u, v) for u in range(1, d) for v in range(d)])):
             first = 0 if kind == "A" else d

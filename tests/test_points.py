@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,8 +9,8 @@ from alttree.corpus import sample_point, sample_word
 from alttree.points import (
     OMEGA,
     OMEGA1,
-    GrayWord,
     Periodic,
+    TildePoint,
     ZeroPair,
     _line_neighbor,
     act,
@@ -233,11 +234,41 @@ def test_section_at_zero_ray_stabilizes():
 def test_gray_projection_shapes():
     p = periodic_point(D, (2, 0), (3, 1))
     gw = gray_projection(p)
-    assert gw.period is not None
-    assert [gw.bit(i) for i in range(1, 5)] == [1, 0, 1, 1]
+    assert not isinstance(gw.tail, ZeroPair)
+    assert [gw.letter(i) for i in range(1, 5)] == [1, 0, 1, 1]
     z = gray_projection(zero_pair_point(D, (1, 0, 2), 3, 0))
-    assert z.period is None and z.star2 is False
-    assert z.bit(OMEGA) == 1 and z.bit(OMEGA1) == 0
+    assert isinstance(z.tail, ZeroPair) and z.tail.b == 0
+    assert z.letter(OMEGA) == 1 and z.letter(OMEGA1) == 0
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_gray_projection_normal_form_oracle(d):
+    # The projection against the points' own letters, read by ``letter``
+    # alone: its bit is 1 exactly where the letter is nonzero (the formal a
+    # always), and two projections are equal exactly when the points' bits
+    # agree over 1..n, with their kind and [b != 0].  Past the longest
+    # prefix every bit sequence repeats with a period dividing the lcm of
+    # the periods, so n bits decide equality.
+    rng = random.Random(f"gray-oracle:{d}")
+    pts = list(dict.fromkeys(sample_point(rng, d, max_prefix=3, max_period=2) for _ in range(120)))
+    periods = [len(p.tail.word) for p in pts if isinstance(p.tail, Periodic)]
+    n = 2 * (max(len(p.prefix) for p in pts) + math.lcm(*periods))
+    signatures, words = [], []
+    for p in pts:
+        w = gray_projection(p)
+        bits = tuple(int(p.letter(i) != 0) for i in range(1, n + 1))
+        assert w.d == 2 and tuple(w.letter(i) for i in range(1, n + 1)) == bits, p
+        doubled = isinstance(p.tail, ZeroPair)
+        if doubled:
+            assert (w.letter(OMEGA), w.letter(OMEGA1)) == (1, int(p.letter(OMEGA1) != 0)), p
+        signatures.append((bits, doubled, doubled and p.letter(OMEGA1) != 0))
+        words.append(w)
+    assert {doubled for _, doubled, _ in signatures} == {True, False}
+    equal = 0
+    for (s1, w1), (s2, w2) in itertools.combinations(zip(signatures, words), 2):
+        assert (w1 == w2) == (s1 == s2), (w1, w2)
+        equal += w1 == w2
+    assert 0 < equal < len(pts) * (len(pts) - 1) // 2
 
 
 def test_first_star_and_visible():
@@ -247,6 +278,12 @@ def test_first_star_and_visible():
     allzero = gray_word((), star2=True)
     assert first_star(allzero) is OMEGA
     assert visible_positions([allzero]) == ((1,), True)
+    # a point of another degree is no Gray word, even with letters 0 and 1
+    p = parse_point("01(1)", D)
+    for call in (first_star, gray_neighbors, lambda w: gray_segment(w, -1, 1)):
+        with pytest.raises(ValueError, match="a Gray word is a point of degree 2"):
+            call(p)
+    assert first_star(gray_projection(p)) == 2
 
 
 def test_gray_neighbors_are_line_moves():
@@ -276,17 +313,17 @@ def test_gray_segment_distinct_and_consistent():
         assert seg[3] == a and seg[5] == b
 
 
-def _bits_differ(v: GrayWord, w: GrayWord, n: int) -> set:
+def _bits_differ(v: TildePoint, w: TildePoint, n: int) -> set:
     """The positions among 1..n, and OMEGA1 for eventually-zero words, at
-    which two Gray words of one kind differ, read by ``bit`` alone."""
-    positions = [*range(1, n + 1), *([OMEGA1] if v.period is None else [])]
-    return {pos for pos in positions if v.bit(pos) != w.bit(pos)}
+    which two Gray words of one kind differ, read by ``letter`` alone."""
+    positions = [*range(1, n + 1), *([OMEGA1] if isinstance(v.tail, ZeroPair) else [])]
+    return {pos for pos in positions if v.letter(pos) != w.letter(pos)}
 
 
-def _after_first_star(w: GrayWord, n: int):
-    """The position right after the first star, read by ``bit`` alone: a
+def _after_first_star(w: TildePoint, n: int):
+    """The position right after the first star, read by ``letter`` alone: a
     word without a star among 1..n is eventually zero, starred at OMEGA."""
-    return next((pos + 1 for pos in range(1, n + 1) if w.bit(pos)), OMEGA1)
+    return next((pos + 1 for pos in range(1, n + 1) if w.letter(pos)), OMEGA1)
 
 
 @pytest.mark.parametrize("d", [5, 8])
@@ -298,11 +335,11 @@ def test_line_neighbor_parity_rule(d):
     kinds = set()
     for _ in range(16):
         w = gray_projection(sample_point(rng, d, max_prefix=4, max_period=2))
-        kinds.add(w.period is None)
+        kinds.add(isinstance(w.tail, ZeroPair))
         seg = gray_segment(w, -9, 9)
         # every word is periodic past the longest prefix, with a period
         # dividing lcm of the periods, so n bits hold every difference
-        n = 2 * (max(len(v.prefix) for v in seg) + math.lcm(*(len(v.period) for v in seg if v.period)))
+        n = 2 * (max(len(v.prefix) for v in seg) + math.lcm(*(len(v.tail.word) for v in seg if isinstance(v.tail, Periodic))))
         for k in range(-8, 9):
             word = seg[k + 9]
             assert _bits_differ(word, seg[_line_neighbor(k, 0) + 9], n) == {1}, (w, k)
