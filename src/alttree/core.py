@@ -28,10 +28,27 @@ degree of its letters (``_degree`` decides it).  Word functions take a
 ``as_nucleus``, ``portrait``), and they reject a word of another degree.
 Letters of two degrees in one word, even letters that reduction cancels,
 raise ``ValueError("degree mismatch")`` wherever a word's degree is read.
+``section_word``, ``apply_word`` and ``section_orbit`` check only the
+reduced word's letters, through the wreath table, and raise
+``ValueError("letter out of range: x")`` for a vertex letter outside
+``0..d-1``.
+
+The wreath table ``_WREATH`` is the only place a word is sectioned.  It is
+keyed by reduced, nonempty word and holds the word's wreath recursion
+``w = (w|0, ..., w|d-1) pi``: the root images ``pi(0), ..., pi(d-1)`` and
+the d reduced first-level sections.  An entry is computed once, checking
+the word's degree, and the table stops growing at ``_WREATH_CAP`` entries,
+after which a word not in it is recomputed on each call.  Sections at
+longer vertices, images of vertices and section orbits take one table step
+per letter; ``wreath_decompose``, ``as_nucleus``, portraits and the
+identity walk take one per word.
 
 Every word is built from a few generator objects, so each generator
 computes its inverse (whose inverse is the generator itself), its tuple of
-sections and its hash once and keeps them.  Products, inverses and
+sections, its root images, its hash, its degree and whether it is the
+identity generator once and keeps them.  Generators compare their kept
+hashes before their permutations, so the inverse test of ``reduce_word``
+mostly stops at one integer comparison.  Products, inverses and
 identities of ``Perm`` are permutations by construction and skip the
 validation that the public constructor, ``a_gen`` and ``b_gen`` apply.
 """
@@ -40,7 +57,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 __all__ = [
@@ -206,16 +223,26 @@ class AGen:
 
     pi: Perm
     _inv = None  # the inverse, once computed
+    _sections = None  # every section is trivial
 
     def __post_init__(self):
+        images = self.pi.images
         object.__setattr__(self, "_hash", hash((self.pi,)))
+        object.__setattr__(self, "_d", len(images))
+        object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "_trivial", images == tuple(range(len(images))))
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if other.__class__ is not AGen:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.pi == other.pi)
+
     @property
     def d(self) -> int:
-        return self.pi.d
+        return self._d
 
     def root(self) -> Perm:
         return self.pi
@@ -250,19 +277,28 @@ class BGen:
     rho: Perm
     sigmas: tuple[Perm, ...]
     _inv = None  # the inverse, once computed
-    _sections = None  # (self, a_gen(sigma_1), ..., a_gen(sigma_{d-1})), once computed
+    _trivial = False  # b_gen turns a trivial recursion element into identity_gen
 
     def __post_init__(self):
         if len(self.sigmas) != self.rho.d - 1:
             raise ValueError("need one slot permutation per nonzero letter")
         object.__setattr__(self, "_hash", hash((self.rho, self.sigmas)))
+        object.__setattr__(self, "_d", len(self.rho.images))
+        object.__setattr__(self, "_images", self.rho.images)
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if other.__class__ is not BGen:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.rho == other.rho and self.sigmas == other.sigmas
+        )
+
     @property
     def d(self) -> int:
-        return self.rho.d
+        return self._d
 
     def sigma(self, i: int) -> Perm:
         if not 1 <= i < self.d:
@@ -285,14 +321,15 @@ class BGen:
             out[i + 1] = self.sigma(x)(w[i + 1])
         return tuple(out)
 
+    @cached_property
+    def _sections(self) -> tuple["Gen", ...]:
+        """The section at each letter: ``(self, a_gen(sigma_1), ..., a_gen(sigma_{d-1}))``."""
+        return (self,) + tuple(a_gen(s) for s in self.sigmas)
+
     def section(self, x: int) -> "Gen":
-        secs = self._sections
-        if secs is None:
-            secs = (self,) + tuple(a_gen(s) for s in self.sigmas)
-            object.__setattr__(self, "_sections", secs)
-        if not 0 <= x < len(secs):
+        if not 0 <= x < self._d:
             raise ValueError(f"slot index out of range: {x}")
-        return secs[x]
+        return self._sections[x]
 
     def inverse(self) -> "BGen":
         if self._inv is None:
@@ -323,7 +360,7 @@ def identity_gen(d: int) -> AGen:
 
 
 def is_identity_gen(g: Gen) -> bool:
-    return isinstance(g, AGen) and g.pi.is_identity()
+    return g._trivial
 
 
 def a_gen(pi: Perm) -> AGen:
@@ -370,8 +407,8 @@ def _degree(word: Word, d: int | None = None) -> int | None:
     given ``d``, raise ``ValueError("degree mismatch")``."""
     for g in word:
         if d is None:
-            d = g.d
-        elif g.d != d:
+            d = g._d
+        elif g._d != d:
             raise ValueError("degree mismatch")
     return d
 
@@ -380,49 +417,137 @@ def reduce_word(word: Word) -> Word:
     """Drop identity letters and cancel adjacent inverse pairs."""
     out: list[Gen] = []
     for g in word:
-        if is_identity_gen(g):
+        if g._trivial:
             continue
-        if out and out[-1] == g.inverse():
-            out.pop()
-        else:
-            out.append(g)
+        if out:
+            last, inv = out[-1], g._inv or g.inverse()
+            # hashes first: a letter is seldom its neighbour's inverse
+            if last is inv or (last._hash == inv._hash and last == inv):
+                out.pop()
+                continue
+        out.append(g)
     return tuple(out)
 
 
+_WREATH: dict[Word, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
+_WREATH_CAP = 1 << 16  # words the wreath table holds
+
+
+def _wreath(word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+    """The wreath recursion ``word = (word|0, ..., word|d-1) pi`` of a
+    reduced, nonempty word: the images ``pi(0), ..., pi(d-1)`` and the
+    reduced sections, from the table or computed once (checking the
+    word's degree) and kept while the table is below ``_WREATH_CAP``."""
+    entry = _WREATH.get(word)
+    if entry is not None:
+        return entry
+    d = _degree(word)
+    steps = [(g._images, g._sections) for g in reversed(word)]
+    images, secs = [], []
+    for x in range(d):
+        out: list[Gen] = []
+        for root, sections in steps:  # x is the letter the next step reads
+            if sections is not None:
+                out.append(sections[x])
+            x = root[x]
+        images.append(x)
+        out.reverse()
+        secs.append(reduce_word(out))
+    entry = (tuple(images), tuple(secs))
+    if len(_WREATH) < _WREATH_CAP:
+        _WREATH[word] = entry
+    return entry
+
+
+def _unroll(word: Word, v: tuple[int, ...]) -> tuple[tuple[int, ...], Word]:
+    """``(word(v), word|v)`` for a reduced word, one table step per letter
+    of ``v``; the letters are not checked."""
+    out = []
+    for i, x in enumerate(v):
+        if not word:
+            return tuple(out) + tuple(v[i:]), word
+        images, secs = _wreath(word)
+        out.append(images[x])
+        word = secs[x]
+    return tuple(out), word
+
+
+def _checked(word: Word, v: tuple[int, ...]) -> Word:
+    """The reduced word, after checking its degree and the letters of ``v``."""
+    word = reduce_word(word)
+    if word:
+        d = len(_wreath(word)[0])
+        for x in v:
+            if not 0 <= x < d:
+                raise ValueError(f"letter out of range: {x}")
+    return word
+
+
 def apply_word(word: Word, w: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of the vertex ``w`` (a letter tuple) under the word."""
-    for g in reversed(word):
-        w = g.apply(w)
-    return w
+    """Image of the vertex ``w`` (a letter tuple) under the word.
+
+    A letter outside ``0..d-1`` raises ValueError, and so do letters of two
+    degrees in the reduced word."""
+    return _unroll(_checked(word, w), w)[0]
+
+
+def _root_images(word: Word) -> tuple[int, ...]:
+    """The root images of a nonempty word of one degree: the table's when
+    the word is there, else composed letter by letter."""
+    entry = _WREATH.get(word)
+    if entry is not None:
+        return entry[0]
+    steps = [g._images for g in reversed(word)]
+    images = []
+    for x in range(len(steps[0])):
+        for root in steps:
+            x = root[x]
+        images.append(x)
+    return tuple(images)
 
 
 def root_perm(word: Word) -> Perm:
     if not word:
         raise ValueError("cannot take the root permutation of the empty word with no degree")
-    p = word[0].root()
-    for g in word[1:]:
-        p = p * g.root()
-    return p
-
-
-def _gen_section_at(g: Gen, v: tuple[int, ...]) -> Gen:
-    for x in v:
-        g = g.section(x)
-    return g
+    _degree(word)
+    return Perm._unchecked(_root_images(word))
 
 
 def section_word(word: Word, v: tuple[int, ...]) -> Word:
-    """The section of the word at the vertex ``v``: the word satisfying
-    ``word(v . w) = word(v) . section(w)`` for all tails ``w``."""
-    out: list[Gen] = []
-    for g in reversed(word):
-        out.append(_gen_section_at(g, v))
-        v = g.apply(v)
-    out.reverse()
-    return reduce_word(tuple(out))
+    """The section of the word at the vertex ``v``: the reduced word
+    satisfying ``word(v . w) = word(v) . section(w)`` for all tails ``w``.
+
+    The word is reduced and then sectioned one letter at a time through the
+    wreath table.  Free reduction is confluent and commutes with sectioning,
+    so this is the reduced product of the generators' own sections.  A
+    letter outside ``0..d-1`` raises ValueError, and so do letters of two
+    degrees in the reduced word."""
+    return _unroll(_checked(word, v), v)[1]
 
 
 _ORBIT_CAP = 10_000  # steps of one section orbit
+
+
+def _orbit(word: Word, period: tuple[int, ...]) -> tuple[list[int], list[Word], int]:
+    """``section_orbit`` of a reduced word; the letters are not checked."""
+    seen: dict[tuple[Word, int], int] = {}
+    ys: list[int] = []
+    sections: list[Word] = []
+    w, phase = word, 0
+    while (w, phase) not in seen:
+        seen[w, phase] = len(ys)
+        x = period[phase]
+        sections.append(w)
+        if w:
+            images, secs = _wreath(w)
+            ys.append(images[x])
+            w = secs[x]
+        else:
+            ys.append(x)
+        if len(ys) > _ORBIT_CAP:
+            raise ResourceCap(f"section_orbit: {len(ys)} steps exceed _ORBIT_CAP = {_ORBIT_CAP}")
+        phase = (phase + 1) % len(period)
+    return ys, sections, seen[w, phase]
 
 
 def section_orbit(word: Word, period: tuple[int, ...]) -> tuple[list[int], list[Word], int]:
@@ -432,22 +557,12 @@ def section_orbit(word: Word, period: tuple[int, ...]) -> tuple[list[int], list[
     Returns ``(ys, sections, start)``: step i reads the letter
     ``period[i % len(period)]`` with the section ``sections[i]`` and writes
     ``ys[i]``, and step ``start`` is where the cycle begins, so the image of
-    the ray is ``ys[:start]`` followed by ``ys[start:]`` repeated.  More than ``_ORBIT_CAP`` steps raise
-    ``ResourceCap``."""
-    seen: dict[tuple[Word, int], int] = {}
-    ys: list[int] = []
-    sections: list[Word] = []
-    w, phase = word, 0
-    while (w, phase) not in seen:
-        seen[w, phase] = len(ys)
-        x = period[phase]
-        ys.append(apply_word(w, (x,))[0])
-        sections.append(w)
-        if len(ys) > _ORBIT_CAP:
-            raise ResourceCap(f"section_orbit: {len(ys)} steps exceed _ORBIT_CAP = {_ORBIT_CAP}")
-        w = section_word(w, (x,))
-        phase = (phase + 1) % len(period)
-    return ys, sections, seen[w, phase]
+    the ray is ``ys[:start]`` followed by ``ys[start:]`` repeated.  The
+    sections are reduced words, the first being the reduced ``word``.  More
+    than ``_ORBIT_CAP`` steps raise ``ResourceCap``; a letter outside
+    ``0..d-1``, or letters of two degrees in the reduced word, raise
+    ValueError."""
+    return _orbit(_checked(word, period), period)
 
 
 def inverse_word(word: Word) -> Word:
@@ -455,7 +570,8 @@ def inverse_word(word: Word) -> Word:
 
 
 def wreath_decompose(word: Word, d: int) -> tuple[tuple[Word, ...], Perm]:
-    """The first-level decomposition ``(sections 0..d-1, root permutation)``.
+    """The first-level decomposition ``(sections 0..d-1, root permutation)``,
+    read from the wreath table; the sections are reduced words.
 
     ``d`` is the degree of the empty word; a word of another degree raises
     ValueError."""
@@ -463,8 +579,8 @@ def wreath_decompose(word: Word, d: int) -> tuple[tuple[Word, ...], Perm]:
     word = reduce_word(word)
     if not word:
         return tuple(() for _ in range(d)), Perm.identity(d)
-    secs = tuple(section_word(word, (x,)) for x in range(d))
-    return secs, root_perm(word)
+    images, secs = _wreath(word)
+    return secs, Perm._unchecked(images)
 
 
 _IDENTITY_CACHE: dict[Word, bool] = {}
@@ -488,6 +604,7 @@ def is_identity(word: Word) -> bool:
     cached = _IDENTITY_CACHE.get(word)
     if cached is not None:
         return cached
+    trivial = tuple(range(d))
     visited: set[Word] = set()
     stack = [word]
     while stack:
@@ -496,15 +613,15 @@ def is_identity(word: Word) -> bool:
             continue
         if _IDENTITY_CACHE.get(w) is True:
             continue
-        if not root_perm(w).is_identity():
+        # the root first: a word that moves a first letter needs no sections
+        if _root_images(w) != trivial:
             if len(_IDENTITY_CACHE) < _ID_CACHE_CAP:
                 _IDENTITY_CACHE[word] = False
             return False
         visited.add(w)
         if len(visited) > _ID_CACHE_CAP:
             raise ResourceCap(f"is_identity: {len(visited)} words exceed _ID_CACHE_CAP = {_ID_CACHE_CAP}")
-        for x in range(d):
-            sw = section_word(w, (x,))
+        for sw in _wreath(w)[1]:
             if sw and sw not in visited:
                 stack.append(sw)
     # every reachable section acts trivially at its root; the cache stops
@@ -547,16 +664,16 @@ def as_nucleus(word: Word, d: int) -> Gen | None:
         return identity_gen(d)
     if len(word) == 1:
         return word[0]
-    root = root_perm(word)
-    secs = [section_word(word, (x,)) for x in range(d)]
+    images, secs = _wreath(word)
+    root = Perm._unchecked(images)
     if all(is_identity(s) for s in secs):
-        return a_gen(root)
+        return AGen(root)  # a product of even permutations is even
     if root(0) != 0:
         return None
     slots = {}
     for i in range(1, d):
         s = secs[i]
-        tau = root_perm(s) if s else Perm.identity(d)
+        tau = Perm._unchecked(_root_images(s)) if s else Perm.identity(d)
         # the slot section must be a pure first-letter permutation
         if not equals(s, (a_gen(tau),) if not tau.is_identity() else ()):
             return None
@@ -596,11 +713,10 @@ def portrait(word: Word, depth: int, d: int | None = None) -> Portrait:
     word = reduce_word(word)
     if d is None:
         raise ValueError("portrait of the empty word needs an explicit degree")
-    root = root_perm(word) if word else Perm.identity(d)
     if depth == 0:
-        return Portrait(root, None)
-    kids = tuple(portrait(section_word(word, (x,)), depth - 1, d) for x in range(d))
-    return Portrait(root, kids)
+        return Portrait(Perm._unchecked(_root_images(word)) if word else Perm.identity(d), None)
+    images, secs = _wreath(word) if word else (tuple(range(d)), ((),) * d)
+    return Portrait(Perm._unchecked(images), tuple(portrait(s, depth - 1, d) for s in secs))
 
 
 # ---------------------------------------------------------------------------

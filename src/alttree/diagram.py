@@ -31,7 +31,7 @@ from .core import (
     ResourceCap,
     Word,
     _degree,
-    apply_word,
+    _unroll,
     as_nucleus,
     is_identity,
     reduce_word,
@@ -498,19 +498,16 @@ def image_of_cylinder(word: Word, eta: PathPrefix, _depth: int = 0) -> ClopenSet
     d = eta.d
     _degree(word, d)
     word = reduce_word(word)
-    sec = section_word(word, eta.labels)
+    # a path's labels are letters of its degree, so the table is read unchecked
+    labels, sec = _unroll(word, eta.labels)
     if is_identity(sec):
-        return ClopenSet(
-            d, (PathPrefix._unchecked(d, apply_word(word, eta.labels), eta.end),)
-        )
+        return ClopenSet(d, (PathPrefix._unchecked(d, labels, eta.end),))
     if eta.end is not None:
         nuc = as_nucleus(sec, d)
         if isinstance(nuc, BGen):
             a, b, flag = eta.end
             v2 = (nuc.rho(a), nuc.sigma(a)(b), flag)
-            return ClopenSet(
-                d, (PathPrefix._unchecked(d, apply_word(word, eta.labels), v2),)
-            )
+            return ClopenSet(d, (PathPrefix._unchecked(d, labels, v2),))
     if _depth >= _DEPTH_BOUND:
         raise ResourceCap(f"image_of_cylinder: recursion depth {_depth} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")
     pieces: list[PathPrefix] = []
@@ -636,7 +633,8 @@ def is_identity_on_vertex(word: Word, v: Vertex | None) -> bool:
         raise ValueError(f"bad vertex: {v}")
     a, b, flag = v
     sections, u = ((word,), (a, b)) if flag else (section_orbit(word, (0,))[1], (0, a, b))
-    trivial = all(apply_word(s, u) == u and is_identity(section_word(s, u)) for s in sections)
+    steps = (_unroll(s, u) for s in sections)  # a vertex's letters are in range
+    trivial = all(image == u and is_identity(sec) for image, sec in steps)
     # the cache stops growing at the cap of core's identity cache
     if len(_IOV_CACHE) < _ID_CACHE_CAP:
         _IOV_CACHE[word, v] = trivial

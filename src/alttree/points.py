@@ -39,8 +39,9 @@ from .core import (
     Gen,
     Word,
     _degree,
+    _orbit,
+    _unroll,
     as_nucleus,
-    apply_word,
     equals,
     is_identity_gen,
     reduce_word,
@@ -316,23 +317,20 @@ def act(word: Word, p: TildePoint) -> TildePoint:
     word = reduce_word(word)
     if not word:
         return p
-    out = []
-    w = word
-    for x in p.prefix:
-        out.append(apply_word(w, (x,))[0])
-        w = section_word(w, (x,))
+    # a point's letters are in range, so the table is read unchecked
+    out, w = _unroll(word, p.prefix)
     if isinstance(p.tail, Periodic):
-        ys, _, start = section_orbit(w, p.tail.word)
-        return _periodic(d, tuple(out) + tuple(ys[:start]), tuple(ys[start:]))
+        ys, _, start = _orbit(w, p.tail.word)
+        return _periodic(d, out + tuple(ys[:start]), tuple(ys[start:]))
     # doubled point: stream zeros until the section word repeats
-    ys, sections, start = section_orbit(w, (0,))
+    ys, sections, start = _orbit(w, (0,))
     if any(y != 0 for y in ys[start:]):
         raise AssertionError("the eventually-zero orbit was not preserved; generator invariants are broken")
     stable = as_nucleus(sections[start], d)
     if stable is None or (isinstance(stable, AGen) and not stable.pi.is_identity() and stable.pi(0) != 0):
         raise AssertionError("section did not stabilize to a recursion element on the zero ray")
     a, b = stable.apply((p.tail.a, p.tail.b))
-    return _zero_pair(d, tuple(out) + tuple(ys[:start]), a, b)
+    return _zero_pair(d, out + tuple(ys[:start]), a, b)
 
 
 def section_at_zero_ray(word: Word, prefix: tuple[int, ...], d: int) -> Gen:

@@ -27,6 +27,7 @@ from alttree.core import (
     portrait,
     reduce_word,
     root_perm,
+    section_orbit,
     section_word,
     validate_gens,
     word_from_json,
@@ -242,6 +243,96 @@ def test_wreath_decompose_of_b_generator():
     assert root_perm(secs[1]) == b.sigma(1)
     for i in range(2, D):
         assert secs[i] == ()
+
+
+def _walk_reduce(word):
+    """Free reduction written out again: drop identity letters, cancel
+    adjacent inverse pairs."""
+    out = []
+    for g in word:
+        if isinstance(g, AGen) and g.pi.is_identity():
+            continue
+        if out and out[-1] == g.inverse():
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _walk_section(word, v):
+    """The generator-by-generator section walk: every generator of the
+    unreduced word is sectioned at the whole vertex it reads, and the
+    product is reduced once at the end."""
+    out = []
+    for g in reversed(word):
+        h = g
+        for x in v:
+            h = h.section(x)
+        out.append(h)
+        v = g.apply(v)
+    return _walk_reduce(tuple(reversed(out)))
+
+
+def _walk_apply(word, v):
+    for g in reversed(word):
+        v = g.apply(v)
+    return v
+
+
+def _walk_root(word, d):
+    p = Perm.identity(d)
+    for g in word:
+        p = p * g.root()
+    return p
+
+
+@pytest.mark.parametrize("d", [5, 6, 8])
+def test_wreath_table_matches_the_generator_walk(d):
+    """``section_word``, ``apply_word``, ``root_perm`` and
+    ``wreath_decompose`` read the wreath table; the walk above does not.
+    Unreduced words carry identity letters and ``g g^-1`` pairs, and each
+    word is asked twice, so both a table miss and a hit are compared."""
+    rng = random.Random(100 + d)
+    gens = [g for _, g in gens_with_mixed(d)]
+    gens += [g.inverse() for g in gens]
+    e = identity_gen(d)
+    vertices = [v for n in range(3) for v in itertools.product(range(d), repeat=n)]
+    vertices += [tuple(rng.randrange(d) for _ in range(n)) for n in (3, 4) for _ in range(40)]
+    for _ in range(40):
+        word = [rng.choice(gens) for _ in range(rng.randrange(1, 7))]
+        for _ in range(rng.randrange(3)):
+            i, g = rng.randrange(len(word) + 1), rng.choice(gens)
+            word[i:i] = rng.choice([(e,), (g, g.inverse()), (g.inverse(), g)])
+        word = tuple(word)
+        for _ in range(2):
+            for v in vertices:
+                assert section_word(word, v) == _walk_section(word, v), (word, v)
+                assert apply_word(word, v) == _walk_apply(word, v), (word, v)
+            assert root_perm(word) == _walk_root(word, d)
+            secs, root = wreath_decompose(word, d)
+            assert secs == tuple(_walk_section(word, (x,)) for x in range(d))
+            assert root == _walk_root(word, d)
+
+
+def test_word_functions_reject_letters_of_two_degrees():
+    a5 = a_gen(Perm.from_cycles(5, (0, 1, 2)))
+    a6 = a_gen(Perm.from_cycles(6, (0, 1, 2)))
+    for call in (
+        lambda: section_word((a5, a6), (1,)),
+        lambda: section_word((a5, a6), ()),
+        lambda: apply_word((a5, a6), (4,)),
+        lambda: section_orbit((a5, a6), (1,)),
+    ):
+        with pytest.raises(ValueError, match="^degree mismatch$"):
+            call()
+
+
+def test_word_functions_reject_letters_out_of_range():
+    a1 = GENS["a1"]
+    for v in ((-1,), (5,), (7,), (0, -1), (1, 5)):
+        for call in (apply_word, section_word, section_orbit):
+            with pytest.raises(ValueError, match=f"^letter out of range: {v[-1]}$"):
+                call((a1,), v)
 
 
 # ---------------------------------------------------------------------------

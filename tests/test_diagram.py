@@ -394,6 +394,42 @@ def test_caps_report_count_and_cap(monkeypatch, cap, value, call, message):
         call()
 
 
+def test_wreath_table_stops_at_its_cap(monkeypatch):
+    """A stream of queries answers alike with the wreath table capped small
+    and uncapped, and the capped table never outgrows its cap."""
+    import alttree.core as core
+
+    rng = rng_for(CFG, "diag-wreath-cap")
+    queries = []
+    for _ in range(40):
+        w = sample_word(rng, CFG, max_len=5)
+        p = sample_point(rng, D)
+        queries.append(lambda w=w, p=p: act(w, p))
+        queries.append(lambda w=w, g=CFG.gen("a1"): equals(w, w + (g, g, g)))
+        queries.append(lambda w=w: equals(w, w + (CFG.gen("c1"),)))
+        C = ClopenSet(D, (encode(p, rng.randrange(1, 4)),))
+        queries.append(lambda w=w, C=C: image_of_clopen(w, C))
+
+    def answers(check=lambda: None):
+        core._WREATH.clear()
+        core._IDENTITY_CACHE.clear()
+        diagram._IOV_CACHE.clear()
+        out = []
+        for q in queries:
+            out.append(q())
+            check()
+        return out
+
+    want = answers()
+    assert len(core._WREATH) > 8
+    monkeypatch.setattr("alttree.core._WREATH_CAP", 8)
+
+    def bounded():
+        assert len(core._WREATH) <= 8
+
+    assert answers(bounded) == want
+
+
 def test_encode_reads_letters_and_next_visible():
     pts = sample_points(CFG, 120, salt="diag-encode")
     for p in pts:
