@@ -261,7 +261,7 @@ class AGen:
         return self._inv
 
     def is_identity(self) -> bool:
-        return self.pi.is_identity()
+        return self._trivial
 
     def __repr__(self):
         return f"A{self.pi!r}"
