@@ -670,18 +670,15 @@ def as_nucleus(word: Word, d: int) -> Gen | None:
         return AGen(root)  # a product of even permutations is even
     if root(0) != 0:
         return None
-    slots = {}
-    for i in range(1, d):
-        s = secs[i]
-        tau = Perm._unchecked(_root_images(s)) if s else Perm.identity(d)
-        # the slot section must be a pure first-letter permutation
-        if not equals(s, (a_gen(tau),) if not tau.is_identity() else ()):
-            return None
-        slots[i] = tau
-    cand = b_gen(root, slots)
-    if equals(word, (cand,) if not is_identity_gen(cand) else ()):
-        return cand
-    return None
+    # each slot section must be a pure first-letter permutation; a
+    # section's root is even, as every letter's is, so nothing is re-checked
+    slots = tuple(Perm._unchecked(_root_images(s)) if s else Perm.identity(d) for s in secs[1:])
+    if not all(equals(s, (AGen(tau),)) for s, tau in zip(secs[1:], slots)):
+        return None
+    cand = BGen(root, slots)
+    if cand.is_identity():
+        cand = identity_gen(d)  # as b_gen normalizes a trivial element
+    return cand if equals(word, (cand,)) else None
 
 
 # ---------------------------------------------------------------------------

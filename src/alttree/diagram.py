@@ -32,6 +32,7 @@ from .core import (
     Word,
     _degree,
     _unroll,
+    _wreath,
     as_nucleus,
     is_identity,
     reduce_word,
@@ -87,7 +88,7 @@ _REFINE_CAP = 500_000  # cylinders of one refine_to_depth
 _TOWER_CAP = 200_000  # paths of one tower
 _CONNECTIVITY_BOUND = 8  # path lengths full_connectivity_steps tries
 _SECTION_WORDS_CAP = 100_000  # words of one level of nontrivial_section_words
-_DEPTH_BOUND = 64  # tree levels contraction_depth and regularity_check search
+_DEPTH_BOUND = 64  # tree levels an image, contraction_depth and regularity_check search
 _AUDIT_CAP = 40_000_000  # paths of one roundtrip_audit
 _PREFIXES_CACHE_CAP = 1 << 16  # entries of the _prefixes cache, keyed by path
 
@@ -172,7 +173,7 @@ class PathPrefix:
     :func:`parse_path`) check every field.  ``_unchecked`` skips the
     checks and ``__init__``: it stores the fields through the slot
     setters.  It is only for fields valid by construction: the paths
-    that ``encode``, ``children``, ``image_of_cylinder``, ``clopen``,
+    that ``encode``, ``children``, ``_image``, ``clopen``,
     ``complement``, ``tower``, ``full_space`` and ``roundtrip_audit``
     build from letters, vertices and edges they already hold.
     """
@@ -483,45 +484,51 @@ def empty_set(d: int) -> ClopenSet:
 # images of cylinders under group words
 
 
-def image_of_cylinder(word: Word, eta: PathPrefix, _depth: int = 0) -> ClopenSet:
-    """The exact image of the cylinder of ``eta`` under the word.
-
-    If the section at the label word acts trivially the image is the
-    single path with relettered labels and the same end.  A section
-    equal to one recursion generator moves every member's visible pair
-    the same way, so only the end vertex is relabelled.  Anything else
-    is pushed one level down and recursed; shrinking sections make this
-    bottom out, and ``_depth`` counts the levels below the first cylinder
-    up to ``_DEPTH_BOUND``.  A generator of another degree than the path's
-    raises ValueError.
-    """
-    d = eta.d
-    _degree(word, d)
-    word = reduce_word(word)
-    # a path's labels are letters of its degree, so the table is read unchecked
-    labels, sec = _unroll(word, eta.labels)
-    if is_identity(sec):
-        return ClopenSet(d, (PathPrefix._unchecked(d, labels, eta.end),))
-    if eta.end is not None:
-        nuc = as_nucleus(sec, d)
-        if isinstance(nuc, BGen):
-            a, b, flag = eta.end
-            v2 = (nuc.rho(a), nuc.sigma(a)(b), flag)
-            return ClopenSet(d, (PathPrefix._unchecked(d, labels, v2),))
-    if _depth >= _DEPTH_BOUND:
-        raise ResourceCap(f"image_of_cylinder: recursion depth {_depth} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")
-    pieces: list[PathPrefix] = []
-    for child in eta.children():
-        # through the module-level name, so a wrapper sees every level
-        pieces.extend(image_of_cylinder(word, child, _depth + 1).cylinders)
-    return clopen(d, pieces)
+def image_of_cylinder(word: Word, eta: PathPrefix) -> ClopenSet:
+    """The exact image of the cylinder of ``eta`` under the word: that of
+    the one-cylinder set, by the one descent of :func:`image_of_clopen`."""
+    return image_of_clopen(word, ClopenSet(eta.d, (eta,)))
 
 
 def image_of_clopen(word: Word, C: ClopenSet) -> ClopenSet:
+    """The exact image of the clopen set under the word, in normal form.
+    The word is checked against the set's degree (ValueError), also for
+    the empty set, and reduced once; each cylinder's labels are unrolled
+    once, and :func:`_image` descends from the section there."""
+    d = C.d
+    _degree(word, d)
+    word = reduce_word(word)
     out: list[PathPrefix] = []
     for c in C.cylinders:
-        out.extend(image_of_cylinder(word, c).cylinders)
-    return clopen(C.d, out)
+        # a path's labels are letters of its degree, so the table is read unchecked
+        labels, sec = _unroll(word, c.labels)
+        _image(sec, labels, c.end, d, 0, out)
+    # every vertex, the top too, has two or more out-edges: one path is normal
+    return ClopenSet(d, tuple(out)) if len(out) < 2 else clopen(d, out)
+
+
+def _image(sec: Word, labels: tuple, end: Vertex | None, d: int, depth: int, out: list) -> None:
+    """Add to ``out`` the image of the cylinder ending at ``end`` whose
+    labels go to ``labels``, where the word's section is ``sec``.  A
+    trivial section keeps the end.  One equal to a recursion generator
+    moves every member's visible pair alike, so it relabels the end.
+    Anything else descends one level, each child taking its image letter
+    and section from the table entry of ``sec``; ``depth`` counts the
+    levels below the first cylinder up to ``_DEPTH_BOUND``."""
+    if is_identity(sec):
+        out.append(PathPrefix._unchecked(d, labels, end))
+        return
+    if end is not None:
+        nuc = as_nucleus(sec, d)
+        if isinstance(nuc, BGen):
+            a, b, flag = end
+            out.append(PathPrefix._unchecked(d, labels, (nuc.rho(a), nuc.sigma(a)(b), flag)))
+            return
+    if depth >= _DEPTH_BOUND:
+        raise ResourceCap(f"image_of_cylinder: recursion depth {depth} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")
+    images, secs = _wreath(sec)  # a nontrivial section is a nonempty word
+    for lab, u in out_edges(d, end):
+        _image(secs[lab], labels + (images[lab],), u, d, depth + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +661,11 @@ def nontrivial_section_words(word: Word, level: int) -> list[tuple]:
         raise ValueError(f"level must be nonnegative, got {level}")
     if is_identity(word):
         return []
-    word = reduce_word(word)
-    d = _degree(word)
-    live: dict[tuple, Word] = {(): word}
+    live: dict[tuple, Word] = {(): reduce_word(word)}
     for n in range(1, level + 1):
         nxt: dict[tuple, Word] = {}
         for w, s in live.items():
-            for x in range(d):
-                t = section_word(s, (x,))
+            for x, t in enumerate(_wreath(s)[1]):  # s is nontrivial, so nonempty
                 if t and not is_identity(t):
                     nxt[w + (x,)] = t
                 if len(nxt) > _SECTION_WORDS_CAP:
@@ -737,13 +741,10 @@ def contraction_depth(word: Word) -> int:
     about a level of the tree having absorbed its action."""
     if is_identity(word):
         return 0
-    word = reduce_word(word)
     d = _degree(word)
-    live = {word}
+    live = {reduce_word(word)}
     for n in range(1, _DEPTH_BOUND + 1):
-        live = {
-            reduce_word(section_word(w, (x,))) for w in live for x in range(d)
-        }
+        live = {t for w in live for t in (_wreath(w)[1] if w else ((),))}  # the empty word has empty sections
         if all(as_nucleus(w, d) is not None for w in live):
             return n
     raise ResourceCap(f"contraction_depth: level {n} reaches _DEPTH_BOUND = {_DEPTH_BOUND}")

@@ -423,6 +423,27 @@ def test_as_nucleus_matches_action():
     assert hits > 10
 
 
+@pytest.mark.parametrize("d", [5, 6])
+def test_as_nucleus_equals_the_checked_rebuild(d):
+    """``as_nucleus`` builds its generators without the parity checks;
+    rebuilt through ``a_gen`` and ``b_gen`` they are the same generators,
+    and a trivial one is the identity generator either way."""
+    cfg = Config.default(d)
+    pool = [g for _, g in cfg.gens] + [g.inverse() for _, g in cfg.gens]
+    rng = random.Random(f"nucleus-{d}")
+    kinds = set()
+    for _ in range(300):
+        word = tuple(rng.choice(pool) for _ in range(rng.randrange(2, 5)))
+        g = as_nucleus(word, d)
+        if isinstance(g, BGen):
+            assert b_gen(g.rho, g.sigmas) == g
+        elif g is not None:
+            assert a_gen(g.pi) == g
+            assert is_identity_gen(g) == (g == identity_gen(d))
+        kinds.add("none" if g is None else "identity" if is_identity_gen(g) else type(g).__name__)
+    assert kinds == {"none", "identity", "AGen", "BGen"}
+
+
 # ---------------------------------------------------------------------------
 # configuration
 

@@ -9,10 +9,12 @@ import pytest
 from alttree import diagram
 from alttree.core import (
     AGen,
+    BGen,
     Config,
     Perm,
     ResourceCap,
     a_gen,
+    apply_word,
     as_nucleus,
     b_gen,
     equals,
@@ -730,6 +732,9 @@ def test_words_of_another_degree_raise():
         act((CFG.gen("a1"),), parse_point("1(5)", 6))
     with pytest.raises(ValueError, match="degree mismatch"):
         image_of_cylinder((CFG.gen("a1"),), path(6, (1,), "51*"))
+    # the word's degree is checked against the set's, also when it is empty
+    with pytest.raises(ValueError, match="degree mismatch"):
+        image_of_clopen((a4,), empty_set(D))
 
 
 def test_a_word_takes_its_degree_from_its_letters():
@@ -809,6 +814,86 @@ def test_image_is_boolean_automorphism():
         assert image_of_clopen(w, U.complement()) == iU.complement()
         if U.is_disjoint(V):
             assert iU.is_disjoint(iV)
+
+
+def _image_by_levels(word, eta, depth=0):
+    """The image of a cylinder, one public-API call chain per level: each
+    level checks the word's degree, reduces it, unrolls its labels from
+    the root and normalises its own pieces."""
+    d = eta.d
+    if any(g.d != d for g in word):
+        raise ValueError("degree mismatch")
+    word = reduce_word(word)
+    labels, sec = apply_word(word, eta.labels), section_word(word, eta.labels)
+    if is_identity(sec):
+        return clopen(d, [PathPrefix(d, labels, eta.end)])
+    nuc = as_nucleus(sec, d) if eta.end is not None else None
+    if isinstance(nuc, BGen):
+        a, b, flag = eta.end
+        return clopen(d, [PathPrefix(d, labels, (nuc.rho(a), nuc.sigma(a)(b), flag))])
+    if depth >= diagram._DEPTH_BOUND:
+        raise ResourceCap(f"image_of_cylinder: recursion depth {depth} reaches _DEPTH_BOUND = {diagram._DEPTH_BOUND}")
+    pieces = []
+    for child in eta.children():
+        pieces.extend(_image_by_levels(word, child, depth + 1).cylinders)
+    return clopen(d, pieces)
+
+
+def _image_of_clopen_by_levels(word, C):
+    return clopen(C.d, [c for eta in C.cylinders for c in _image_by_levels(word, eta).cylinders])
+
+
+@pytest.mark.parametrize("d", [5, 6, 8])
+def test_image_is_the_per_level_image(d):
+    """The one descent of ``image_of_clopen`` gives the texts of the
+    per-level recursion, on sets of one and of several cylinders and on
+    the whole space."""
+    cfg = Config.default(d)
+    rng = rng_for(cfg, "diag-image-levels")
+    several = 0
+    for i in range(40):
+        w = sample_word(rng, cfg, max_len=5)
+        if i % 10 == 0:
+            C = full_space(d)
+        else:
+            n = 1 if i % 2 else rng.randrange(2, 5)
+            C = clopen(d, [encode(sample_point(rng, d), rng.randrange(1, 4)) for _ in range(n)])
+        several += len(C.cylinders) > 1
+        assert image_of_clopen(w, C).texts() == _image_of_clopen_by_levels(w, C).texts()
+        if len(C.cylinders) == 1:
+            assert image_of_cylinder(w, C.cylinders[0]) == image_of_clopen(w, C)
+    assert several >= 10
+
+
+def test_image_depth_bound_counts_below_each_cylinder(monkeypatch):
+    """Over a set of several cylinders the depth bound counts the levels
+    below each cylinder and reports the text of ``image_of_cylinder``."""
+    c1, a1 = CFG.gen("c1"), CFG.gen("a1")
+    w = (c1, a1, c1)
+    C = clopen(D, [path(D, (0,), "10*"), path(D, (3,), "20*")])
+    assert image_of_clopen(w, C) == _image_of_clopen_by_levels(w, C)
+    monkeypatch.setattr("alttree.diagram._DEPTH_BOUND", 1)
+    message = "image_of_cylinder: recursion depth 1 reaches _DEPTH_BOUND = 1"
+    for image in (image_of_clopen, _image_of_clopen_by_levels):
+        with pytest.raises(ResourceCap, match=f"^{re.escape(message)}$"):
+            image(w, C)
+
+
+def test_an_image_checks_reduces_and_normalises_once(monkeypatch):
+    """However deep the image descends, the word's degree is checked and
+    the word reduced once per query, and the pieces are normalised once."""
+    calls = {"_degree": 0, "reduce_word": 0, "clopen": 0}
+    for name in calls:
+        fn = getattr(diagram, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(diagram, name, counted)
+    image = image_of_cylinder((CFG.gen("c1"),), path(D, (), None))
+    assert image == full_space(D)
+    assert calls == {"_degree": 1, "reduce_word": 1, "clopen": 1}
 
 
 # ---------------------------------------------------------------------------
