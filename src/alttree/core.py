@@ -323,8 +323,9 @@ class BGen:
 
     @cached_property
     def _sections(self) -> tuple["Gen", ...]:
-        """The section at each letter: ``(self, a_gen(sigma_1), ..., a_gen(sigma_{d-1}))``."""
-        return (self,) + tuple(a_gen(s) for s in self.sigmas)
+        """The section at each letter: ``(self, A(sigma_1), ..., A(sigma_{d-1}))``,
+        built unchecked: ``b_gen`` and ``validate_gens`` check that the slots are even."""
+        return (self,) + tuple(AGen(s) for s in self.sigmas)
 
     def section(self, x: int) -> "Gen":
         if not 0 <= x < self._d:
@@ -436,11 +437,13 @@ _WREATH_CAP = 1 << 16  # words the wreath table holds
 def _wreath(word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
     """The wreath recursion ``word = (word|0, ..., word|d-1) pi`` of a
     reduced, nonempty word: the images ``pi(0), ..., pi(d-1)`` and the
-    reduced sections, from the table or computed once (checking the
-    word's degree) and kept while the table is below ``_WREATH_CAP``."""
+    reduced sections, from the table or computed once by ``_new_wreath``."""
     entry = _WREATH.get(word)
-    if entry is not None:
-        return entry
+    return entry if entry is not None else _new_wreath(word)
+
+
+def _new_wreath(word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+    """``_wreath(word)`` computed, checking the degree, and kept below ``_WREATH_CAP``."""
     d = _degree(word)
     steps = [(g._images, g._sections) for g in reversed(word)]
     images, secs = [], []
@@ -492,11 +495,8 @@ def apply_word(word: Word, w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _root_images(word: Word) -> tuple[int, ...]:
-    """The root images of a nonempty word of one degree: the table's when
-    the word is there, else composed letter by letter."""
-    entry = _WREATH.get(word)
-    if entry is not None:
-        return entry[0]
+    """The root images of a nonempty word of one degree, composed letter by
+    letter without reading the table."""
     steps = [g._images for g in reversed(word)]
     images = []
     for x in range(len(steps[0])):
@@ -605,29 +605,29 @@ def is_identity(word: Word) -> bool:
     if cached is not None:
         return cached
     trivial = tuple(range(d))
-    visited: set[Word] = set()
+    # a word joins ``visited`` when found: one probe per walked word
+    visited = {word}
     stack = [word]
     while stack:
         w = stack.pop()
-        if w in visited or not w:
-            continue
-        if _IDENTITY_CACHE.get(w) is True:
-            continue
+        entry = _WREATH.get(w)
         # the root first: a word that moves a first letter needs no sections
-        if _root_images(w) != trivial:
+        if (entry[0] if entry is not None else _root_images(w)) != trivial:
             if len(_IDENTITY_CACHE) < _ID_CACHE_CAP:
                 _IDENTITY_CACHE[word] = False
             return False
-        visited.add(w)
+        for sw in (entry or _new_wreath(w))[1]:
+            if sw:
+                n = len(visited)
+                visited.add(sw)
+                if len(visited) > n and _IDENTITY_CACHE.get(sw) is not True:
+                    stack.append(sw)
         if len(visited) > _ID_CACHE_CAP:
             raise ResourceCap(f"is_identity: {len(visited)} words exceed _ID_CACHE_CAP = {_ID_CACHE_CAP}")
-        for sw in _wreath(w)[1]:
-            if sw and sw not in visited:
-                stack.append(sw)
     # every reachable section acts trivially at its root; the cache stops
-    # growing at its cap
-    for w in islice(visited, max(_ID_CACHE_CAP - len(_IDENTITY_CACHE), 0)):
-        _IDENTITY_CACHE[w] = True
+    # growing at its cap, and a whole set is stored by its kept hashes
+    room = max(_ID_CACHE_CAP - len(_IDENTITY_CACHE), 0)
+    _IDENTITY_CACHE.update(dict.fromkeys(visited if len(visited) <= room else islice(visited, room), True))
     return True
 
 
@@ -896,6 +896,8 @@ def validate_gens(gens: tuple[tuple[str, Gen], ...], d: int) -> None:
             if not g.pi.is_even():
                 raise ValueError(f"first-letter permutation of {name} must be even")
             a_roots.append(g.pi)
+        elif not all(p.is_even() for p in (g.rho, *g.sigmas)):
+            raise ValueError(f"recursion and slot permutations of {name} must be even")
     if not a_roots:
         raise ValueError("need at least one first-letter generator")
     if not _generates_alternating(a_roots, d):

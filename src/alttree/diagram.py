@@ -41,7 +41,6 @@ from .core import (
     word_to_json,
 )
 from .points import (
-    Periodic,
     TildePoint,
     ZeroPair,
     _letters_text,
@@ -270,24 +269,32 @@ def encode(p: TildePoint, depth: int) -> PathPrefix:
 
 def _encoded(p: TildePoint, depth: int) -> tuple[tuple[int, ...], Vertex | None]:
     """The ``(labels, end)`` fields of ``encode(p, depth)``, for a depth
-    >= 0, without building the path."""
+    >= 0, read without a letter buffer.  At or past the prefix, a doubled
+    point gives zero labels and the end ``(a, b, 0)``; a periodic point's
+    pair is the first nonzero letter of its period rotated by ``(depth -
+    len(prefix)) mod L``, then that letter's cyclic successor.  Only a
+    prefix longer than the depth is scanned; past its zeros, the pair is
+    the tail's."""
     if depth == 0:
         return (), None
-    # past both the prefix and the labels, one period shows a nonzero
-    # letter, so the visible pair lies within m + 1 letters
-    m = max(len(p.prefix), depth)
-    if isinstance(p.tail, Periodic):
-        m += len(p.tail.word)
-    seq = p.letters(m + 1)
-    for i in range(depth, m):
-        if seq[i] != 0:
-            a, b = seq[i], seq[i + 1]
-            break
-    else:
-        if isinstance(p.tail, Periodic):
-            raise AssertionError("periodic tail with no nonzero letter")
-        a, b = p.tail.a, p.tail.b
-    return seq[:depth], (a, b, 1 if seq[depth] != 0 else 0)
+    pre, tail = p.prefix, p.tail
+    n = len(pre)
+    if depth < n:
+        for i in range(depth, n):
+            if pre[i]:
+                return pre[:depth], (pre[i], p.letter(i + 2), 1 if pre[depth] else 0)
+        return pre[:depth], _encoded(p, n)[1][:2] + (0,)
+    if isinstance(tail, ZeroPair):
+        return pre + (0,) * (depth - n), (tail.a, tail.b, 0)
+    per, L = tail.word, len(tail.word)
+    q, k = divmod(depth - n, L)
+    labels = pre + per * q + per[:k] if depth > n else pre
+    if per[k]:
+        return labels, (per[k], per[(k + 1) % L], 1)
+    for j in range(k + 1, k + L):
+        if per[j % L]:
+            return labels, (per[j % L], per[(j + 1) % L], 0)
+    raise AssertionError("periodic tail with no nonzero letter")
 
 
 def decode(eta: PathPrefix, tail: TildePoint | None = None) -> TildePoint:
@@ -795,28 +802,31 @@ def regularity_check(word: Word, p: TildePoint) -> dict:
 
 def roundtrip_audit(d: int, max_depth: int) -> dict:
     """Check encode(decode(path)) == path for every path of every depth
-    up to ``max_depth``; returns the number checked and any failures.
+    up to ``max_depth``; returns the number checked and any failures, in
+    enumeration order: the top, then by end vertex, depth and label word.
+    A negative depth raises ValueError, as ``encode``'s does.
 
     Each path goes through the public ``decode``; the encoding side is
     compared field by field (degree, labels, end vertex), so the audit
     builds one path per check, not two."""
+    if max_depth < 0:
+        raise ValueError("depth must be >= 0")
     total = sum(2 * (d - 1) * d * d**n for n in range(1, max_depth + 1)) + 1
     if total > _AUDIT_CAP:
         raise ResourceCap(f"roundtrip_audit: {total} paths exceed _AUDIT_CAP = {_AUDIT_CAP}")
-    checked, failures = 0, []
-    top = PathPrefix._unchecked(d, (), None)
+    checked, failures, unchecked = 1, [], PathPrefix._unchecked
+    top = unchecked(d, (), None)
     q = decode(top)
     if q.d != d or _encoded(q, 0) != ((), None):
         failures.append(top.text())
-    checked += 1
     for v in vertices(d):
         for n in range(1, max_depth + 1):
             for labels in itertools.product(range(d), repeat=n):
-                eta = PathPrefix._unchecked(d, labels, v)
+                eta = unchecked(d, labels, v)
                 q = decode(eta)
                 if q.d != d or _encoded(q, n) != (labels, v):
                     failures.append(eta.text())
-                checked += 1
+            checked += d**n
     return {
         "max_depth": max_depth,
         "checked": checked,

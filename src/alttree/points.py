@@ -196,20 +196,28 @@ def _periodic(d: int, prefix: tuple[int, ...], period: tuple[int, ...]) -> Tilde
     checks of :func:`periodic_point`, built through the slot setters.
     Only for letters valid by construction: ``act``, ``_shift`` and
     ``diagram.decode`` pass letters read from valid points and paths, and
-    ``gray_word`` and ``gray_projection`` pass bits."""
-    period = _primitive(period)
+    ``gray_word`` and ``gray_projection`` pass bits.  A period of one or
+    two letters skips ``_primitive``'s scan (two take one comparison), and
+    the period is pulled back and rotated only if the prefix ends with its
+    last letter."""
+    if len(period) == 2 and period[0] == period[1]:
+        period = period[:1]
+    elif len(period) > 2:
+        period = _primitive(period)
     if not any(period):
         raise ValueError("period must contain a nonzero letter")
-    # pull the period back over the prefix as far as it matches: k
-    # letters back, the period is rotated right by k
     n, L = len(prefix), len(period)
-    k = 0
-    while k < n and prefix[n - 1 - k] == period[L - 1 - k % L]:
-        k += 1
-    r = L - k % L
+    if n and prefix[-1] == period[-1]:
+        # pull the period back over the prefix as far as it matches: k
+        # letters back, the period is rotated right by k
+        k = 1
+        while k < n and prefix[n - 1 - k] == period[L - 1 - k % L]:
+            k += 1
+        r = L - k % L
+        prefix, period = prefix[: n - k], period[r:] + period[:r]
     tail = _new(Periodic)
-    _set_word(tail, period[r:] + period[:r])
-    return _point(d, prefix[: n - k], tail)
+    _set_word(tail, period)
+    return _point(d, prefix, tail)
 
 
 def zero_pair_point(d: int, prefix, a: int, b: int) -> TildePoint:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -185,6 +186,33 @@ def test_cached_sections_match_slots(d):
                 g.section(d)
 
 
+@pytest.mark.parametrize("d", [5, 6, 8])
+def test_sections_skip_the_parity_check(d, monkeypatch):
+    # a BGen's slots are even, so its sections are the a_gen rebuild,
+    # built without Perm.cycles
+    rng = random.Random(0x5EC + d)
+    evens = [p for p in (Perm(tuple(rng.sample(range(d), d))) for _ in range(200)) if p.is_even()]
+    gens = [g for _, g in gens_with_mixed(d) if isinstance(g, BGen)]
+    gens += [g.inverse() for g in gens]
+    gens += [b_gen(Perm.identity(d), {x: rng.choice(evens) for x in range(1, d)}) for _ in range(20)]
+    calls = []
+    real = Perm.cycles
+    monkeypatch.setattr(Perm, "cycles", lambda p: calls.append(p) or real(p))
+    fresh = [BGen(g.rho, g.sigmas) for g in gens]  # no section built yet
+    sections = [g._sections for g in fresh]
+    assert calls == []
+    monkeypatch.undo()
+    for g, secs in zip(fresh, sections):
+        assert secs == (g,) + tuple(a_gen(g.sigma(x)) for x in range(1, d))
+
+
+def test_validate_rejects_odd_recursion_permutations():
+    odd = Perm.from_cycles(5, (1, 2))
+    for bad in (BGen(Perm.identity(5), (odd,) + (Perm.identity(5),) * 3), BGen(odd, (Perm.identity(5),) * 4)):
+        with pytest.raises(ValueError, match="^recursion and slot permutations of odd must be even$"):
+            validate_gens(default_gens(5) + (("odd", bad),), 5)
+
+
 def test_parity_validation():
     with pytest.raises(ValueError):
         a_gen(Perm.from_cycles(5, (0, 1)))
@@ -354,6 +382,32 @@ def test_is_identity_self_referential_section():
     assert not is_identity((b,))
     assert is_identity((b, b))
     assert order_of((b,)) == 2
+
+
+def test_is_identity_reads_each_walked_word_once(monkeypatch):
+    import alttree.core as core
+
+    reads = collections.Counter()
+
+    class Table(dict):
+        def get(self, key, default=None):
+            reads[key] += 1
+            return super().get(key, default)
+
+    monkeypatch.setattr(core, "_WREATH", Table())
+    monkeypatch.setattr(core, "_IDENTITY_CACHE", {})
+    computed, real = [], core._new_wreath
+    monkeypatch.setattr(core, "_new_wreath", lambda w: computed.append(w) or real(w))
+    # the root first: a word whose root moves gets no sections
+    moving = (GENS["a1"], GENS["b1"])
+    assert not is_identity(moving)
+    assert computed == [] and list(reads) == [moving]
+    # a trivial word: each walked word is read from the table once, and
+    # computed once, since the table starts empty
+    reads.clear()
+    assert is_identity((GENS["a1"], GENS["b2"]) * 27)  # of order 27
+    assert len(reads) == 6 and set(reads.values()) == {1}
+    assert sorted(map(repr, computed)) == sorted(map(repr, reads))
 
 
 def test_r_generator_order():

@@ -2,6 +2,7 @@
 towers, and the boundedness/regularity audits."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -251,6 +252,25 @@ def test_roundtrip_audit_reports_a_corrupted_encode(monkeypatch):
     assert not aud["ok"] and aud["failures"] == [target.text()]
 
 
+def test_roundtrip_audit_lists_failures_in_enumeration_order(monkeypatch):
+    # the top, then by end vertex, depth and label word
+    want = [PathPrefix(D, (), None), path(D, (4,), "10*"), path(D, (0, 1), "10*"), path(D, (2,), "12*")]
+    real = decode
+
+    def corrupt(eta, tail=None):
+        # a point of another degree fails every check, the top's too
+        return zero_pair_point(D + 1, (), 1, 0) if eta in want else real(eta, tail)
+
+    monkeypatch.setattr("alttree.diagram.decode", corrupt)
+    assert roundtrip_audit(D, 2)["failures"] == [eta.text() for eta in want]
+
+
+def test_roundtrip_audit_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        roundtrip_audit(D, -1)
+    assert roundtrip_audit(D, 0) == {"max_depth": 0, "checked": 1, "failures": [], "ok": True}
+
+
 def test_roundtrip_audit_cap_reports_count_and_cap(monkeypatch):
     # the cap names what it measured (the path count) and its limit
     total = 1 + sum(40 * 5**n for n in range(1, 3))
@@ -451,6 +471,60 @@ def test_encode_reads_letters_and_next_visible():
                 assert (a, b) == (p.letter(pos), p.letter(pos + 1))
             else:
                 assert (a, b) == (p.tail.a, p.tail.b)
+
+
+def _encoded_by_letters(p, depth):
+    """``_encoded`` read from a buffer of the point's first letters: past
+    both the prefix and the labels, one period shows a nonzero letter, so
+    the visible pair lies within m + 1 letters."""
+    if depth == 0:
+        return (), None
+    m = max(len(p.prefix), depth)
+    if not isinstance(p.tail, ZeroPair):
+        m += len(p.tail.word)
+    seq = p.letters(m + 1)
+    for i in range(depth, m):
+        if seq[i] != 0:
+            a, b = seq[i], seq[i + 1]
+            break
+    else:
+        a, b = p.tail.a, p.tail.b
+    return seq[:depth], (a, b, 1 if seq[depth] != 0 else 0)
+
+
+@pytest.mark.parametrize("d", [5, 6, 8, 12])
+def test_encoded_matches_the_letter_buffer(d):
+    # zero-heavy letters, so the visible pair often lies past the depth,
+    # past the prefix or across a period's end; prefixes up to 13 letters
+    # against depths 0..10, periodic and doubled, and decoded paths
+    rng = random.Random(0xE7C + d)
+
+    def letters(n, nonzero=False):
+        while True:
+            xs = tuple(rng.choice((0, 0, 0, rng.randrange(1, d))) for _ in range(n))
+            if any(xs) or not nonzero:
+                return xs
+
+    pts = []
+    for _ in range(300):
+        pre = letters(rng.randrange(14))
+        if rng.random() < 0.3:
+            pts.append(zero_pair_point(d, pre, rng.randrange(1, d), rng.randrange(d)))
+        else:
+            pts.append(periodic_point(d, pre, letters(rng.randrange(1, 5), nonzero=True)))
+    for _ in range(100):
+        end = rng.choice(vertices(d))
+        pts.append(decode(PathPrefix(d, letters(rng.randrange(1, 9)), end)))
+    kinds = set()
+    for p in pts:
+        for depth in range(11):
+            got = diagram._encoded(p, depth)
+            assert got == _encoded_by_letters(p, depth), (p, depth)
+            assert encode(p, depth) == PathPrefix(d, *got)
+            if depth:
+                kinds.add((depth < len(p.prefix), isinstance(p.tail, ZeroPair), got[1][2]))
+    # prefixes longer and shorter than the depth, both tails, both flags
+    assert kinds == set(itertools.product((False, True), (False, True), (0, 1))) - {(False, True, 1)}
 
 
 def test_decode_with_tail():

@@ -13,6 +13,8 @@ from alttree.points import (
     TildePoint,
     ZeroPair,
     _line_neighbor,
+    _periodic,
+    _zero_pair,
     act,
     first_star,
     format_point,
@@ -54,6 +56,47 @@ def test_zero_pair_canonicalization():
     assert zero_pair_point(D, (1, 3, 0, 0), 2, 0).prefix == (1, 3)
     with pytest.raises(ValueError):
         zero_pair_point(D, (), 0, 3)
+
+
+def _brute_normal_form(seq, max_prefix, max_period):
+    """The shortest prefix, then the shortest period, under which ``seq``
+    repeats from the prefix on: the normal form read off the letters."""
+    for m in range(max_prefix + 1):
+        for L in range(1, max_period + 1):
+            if all(seq[i] == seq[i + L] for i in range(m, len(seq) - L)):
+                return seq[:m], seq[m : m + L]
+    raise AssertionError("no period found")
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_normal_forms_match_a_brute_force_normaliser(d):
+    # every (prefix, period) of small lengths over a few letters, then
+    # sampled longer ones; the letters repeat often, so periods pull back
+    # over long stretches of the prefix and often fail to be primitive
+    rng = random.Random(0x9E1 + d)
+    letters = (0, 1, d - 1)
+    cases = [
+        (pre, per)
+        for n in range(4)
+        for pre in itertools.product(letters, repeat=n)
+        for L in range(1, 4)
+        for per in itertools.product(letters, repeat=L)
+    ]
+    for _ in range(400):
+        pre = tuple(rng.choice(letters) for _ in range(rng.randrange(12)))
+        cases.append((pre, tuple(rng.choice(letters) for _ in range(rng.randrange(1, 7)))))
+    for pre, per in cases:
+        seq = pre + per * (2 * (len(pre) + len(per)) // len(per) + 2)
+        if not any(per):
+            with pytest.raises(ValueError, match="nonzero"):
+                _periodic(d, pre, per)
+            prefix, zeros = _brute_normal_form(seq, len(pre), 1)
+            assert zeros == (0,)
+            b = rng.randrange(d)
+            assert _zero_pair(d, pre, 1, b) == TildePoint(d, prefix, ZeroPair(1, b)), pre
+            continue
+        prefix, period = _brute_normal_form(seq, len(pre), len(per))
+        assert _periodic(d, pre, per) == TildePoint(d, prefix, Periodic(period)), (pre, per)
 
 
 @pytest.mark.parametrize("bad", [D, -1])
